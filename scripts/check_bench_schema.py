@@ -60,7 +60,7 @@ REQUIRED_METRIC_FAMILIES = {
     "BENCH_labels.metrics.json": ["kernel.label_cache.", "labels.intern."],
     "BENCH_store.metrics.json": ["store.", "labels.intern."],
     "BENCH_replication.metrics.json": ["repl.", "store.", "cycles.", "kernel.mem."],
-    "BENCH_ipc.metrics.json": ["kernel.sys.", "pump.", "payload."],
+    "BENCH_ipc.metrics.json": ["kernel.sys.", "kernel.mem.", "payload."],
     "BENCH_scale.metrics.json": [
         "kernel.mem.",
         "okws.request_cycles.",

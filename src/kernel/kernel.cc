@@ -529,6 +529,7 @@ void Kernel::SysNewHandle(Process& proc, EventProcess* ep, SyscallFrame& f) {
   qs.Set(h, Level::kStar);
   ChargeLabelWorkSince(baseline);
   if (obs::ProvenanceLedger::enabled()) {
+    ScopedWorkStatsShield shield;  // building the cause label is forensics
     obs::ProvenanceLedger::Get().RecordEdge(
         obs::EdgeKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
         Label({{h, Level::kStar}}, Level::kL3), current_trace_id_);
@@ -589,6 +590,7 @@ void Kernel::SysSetSendLevel(Process& proc, EventProcess* ep, SyscallFrame& f) {
       LevelLeq(Level::kL2, f.level)) {
     // A raise into taint territory is voluntary self-contamination: taint
     // with no inbound message, so it gets an origin edge.
+    ScopedWorkStatsShield shield;  // building the cause label is forensics
     obs::ProvenanceLedger::Get().RecordEdge(
         obs::EdgeKind::kOrigin, proc.name, "", pre_rep, qs.rep_id(),
         Label({{f.handle, f.level}}, Level::kL1), current_trace_id_);
@@ -669,7 +671,7 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
       // the sender does not hold (requirements 2 and 3). The label reads
       // and the Lub below are forensics, not kernel work — shield the
       // counters.
-      const LabelWorkStats forensics_baseline = GetLabelWorkStats();
+      ScopedWorkStatsShield shield;
       uint64_t failed = 0;
       Level had = ps.default_level();
       for (Label::EntryIter it = args.decont_send.IterateEntries(); !it.done();
@@ -696,7 +698,6 @@ void Kernel::SysSend(Process& proc, EventProcess* ep, SyscallFrame& f) {
           failed, had, Level::kStar,
           Label::Lub(args.decont_send, args.decont_receive), ps,
           current_trace_id_);
-      GetLabelWorkStats() = forensics_baseline;
     }
     return;  // silently dropped
   }
@@ -922,20 +923,14 @@ void Kernel::RunUntilIdle() {
 }
 
 bool Kernel::DeliverFromPort(Vnode& port) {
-  const Handle port_handle = port.handle;
-  const ProcessId owner_pid = port.owner;
-  Process* proc = FindProcess(owner_pid);
+  Process* proc = FindProcess(port.owner);
   ASB_ASSERT(proc != nullptr);
 
-  // `pv` is re-found by handle after every handler run: a handler may close
-  // the port (erasing the vnode) or transfer it, and the batch-continuation
-  // gate below needs the live vnode, not a stale reference.
-  Vnode* pv = &port;
-  uint64_t delivered_in_batch = 0;
-
-  while (!pv->queue.empty()) {
-    QueuedMessage qm = std::move(pv->queue.front());
-    pv->queue.pop_front();
+  // Label-dropped messages ahead of the first deliverable one are skipped
+  // in the same pass; the pass ends with the first handler run.
+  while (!port.queue.empty()) {
+    QueuedMessage qm = std::move(port.queue.front());
+    port.queue.pop_front();
     SubQueueAccounting(qm);
 
     // Identify the receiving context. A message on an event-process-owned
@@ -944,8 +939,8 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     // after the checks pass, so a dropped message costs nothing.
     EventProcess* ep = nullptr;
     bool would_create_ep = false;
-    if (pv->owner_ep != kBaseContext) {
-      auto it = proc->eps.find(pv->owner_ep);
+    if (port.owner_ep != kBaseContext) {
+      auto it = proc->eps.find(port.owner_ep);
       ASB_ASSERT(it != proc->eps.end());
       ep = it->second.get();
     } else if (proc->in_event_realm) {
@@ -961,7 +956,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     uint64_t fused_work = 0;
 
     // Requirement (4): DR ⊑ pR — the port label bounds decontamination.
-    bool ok = IsBottomLabel(qm.decont_receive) || qm.decont_receive.Leq(pv->port_label);
+    bool ok = IsBottomLabel(qm.decont_receive) || qm.decont_receive.Leq(port.port_label);
     if (!ok) {
       ChargeLabelWorkSince(baseline);
       stats_.drops_dr_port += 1;
@@ -969,12 +964,12 @@ bool Kernel::DeliverFromPort(Vnode& port) {
         // D_R ⊑ pR is ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR with ES = D_R, QR = pR and
         // the rest neutral, so the delivery explainer pinpoints the handle.
         const DeliveryRefusal why =
-            ExplainDeliveryRefusal(qm.decont_receive, pv->port_label,
+            ExplainDeliveryRefusal(qm.decont_receive, port.port_label,
                                    Label::Bottom(), Label::Top(), Label::Top());
         obs::ProvenanceLedger::Get().RecordRefusal(
             "kernel.dr_port", proc->name,
             "D_R exceeds the port label (req 4)", why.handle, why.es_level,
-            why.bound_level, qm.decont_receive, pv->port_label,
+            why.bound_level, qm.decont_receive, port.port_label,
             qm.msg.trace_id);
       }
       continue;
@@ -982,7 +977,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     // Requirement (1): ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR, with labels as they are at
     // this instant (delivery time), not as they were at send time.
     ok = CheckDeliveryAllowed(qm.effective_send, qr, qm.decont_receive, qm.msg.verify,
-                              pv->port_label, &fused_work);
+                              port.port_label, &fused_work);
     ChargeTo(Component::kKernelIpc, fused_work * costs::kLabelEntryCycles +
                                         costs::kLabelOpBaseCycles);
     if (!ok) {
@@ -991,7 +986,7 @@ bool Kernel::DeliverFromPort(Vnode& port) {
       if (obs::ProvenanceLedger::enabled()) {
         const DeliveryRefusal why =
             ExplainDeliveryRefusal(qm.effective_send, qr, qm.decont_receive,
-                                   qm.msg.verify, pv->port_label);
+                                   qm.msg.verify, port.port_label);
         std::string detail = "ES(";
         detail += why.handle == 0 ? "default" : std::to_string(why.handle);
         detail += ") = ";
@@ -1026,9 +1021,6 @@ bool Kernel::DeliverFromPort(Vnode& port) {
     if (ep != nullptr && !ep->has_queue_arena) {
       ep->has_queue_arena = true;
       mem_.ep_queue_arena_bytes += kPageSize;
-    }
-    if (proc->last_ran_ep != (ep != nullptr ? ep->id : kBaseContext)) {
-      proc->last_ran_ep = ep != nullptr ? ep->id : kBaseContext;
     }
 
     // Label effects (Eq. 7). QS⋆ is evaluated on the pre-state, so a grant
@@ -1132,12 +1124,11 @@ bool Kernel::DeliverFromPort(Vnode& port) {
       current_trace_id_ = prev_trace;
     }
 
-    delivered_in_batch += 1;
-
-    // Post-handler lifecycle.
+    // Post-handler lifecycle. The handler may have closed or transferred
+    // `port`, so it is not touched again.
     if (proc->exited) {
-      DestroyProcess(*proc);  // `proc` dangling; the batch necessarily ends
-      break;
+      DestroyProcess(*proc);
+      return true;
     }
     if (ep != nullptr) {
       if (ep->exited) {
@@ -1147,54 +1138,6 @@ bool Kernel::DeliverFromPort(Vnode& port) {
       }
     }
     UpdatePeak();
-
-    // --- Batch continuation gate ------------------------------------------
-    // Keep draining this port only when the unbatched scheduler's next
-    // action would provably be this exact port, and mirror precisely the
-    // state transitions and charges it would have made getting here. Two
-    // such situations exist after a delivery:
-    //
-    //  (a) Nothing else is runnable and this port was not re-sent to: the
-    //      unbatched Step would re-enqueue the port (net-zero set/queue
-    //      churn), return, be called again, pop this process (one scheduler
-    //      tick), pop this port, and deliver. Net state change: none.
-    //  (b) The handler sent to this very port and nothing else: the run
-    //      queue holds exactly this process and its pending list exactly
-    //      this port. The unbatched Step would pop both (one tick) and
-    //      deliver. Mirror the pops.
-    //
-    // Anything else — another runnable process, another pending port — and
-    // the unbatched pump would go elsewhere first, so the batch ends.
-    if (delivered_in_batch >= pump_batch_limit_) {
-      break;
-    }
-    Vnode* next = FindLivePort(port_handle);
-    if (next == nullptr || next->owner != owner_pid || next->queue.empty()) {
-      break;
-    }
-    if (run_queue_.empty() && proc->pending_ports.empty()) {
-      // (a) — no state to mirror.
-    } else if (run_queue_.size() == 1 && run_queue_.front() == owner_pid &&
-               proc->pending_ports.size() == 1 &&
-               proc->pending_ports.front() == port_handle) {
-      // (b) — mirror Step's pops.
-      run_queue_.pop_front();
-      proc->in_run_queue = false;
-      proc->pending_ports.pop_front();
-      proc->pending_port_set.erase(port_handle.value());
-    } else {
-      break;
-    }
-    ChargeTo(Component::kOther, costs::kSchedulerTickCycles);
-    pv = next;
-  }
-
-  if (delivered_in_batch > 0) {
-    static obs::Counter& batches = obs::Registry::Get().counter("pump.batches");
-    static obs::CycleHistogram& per_batch =
-        obs::Registry::Get().histogram("pump.msgs_per_batch");
-    batches.Add();
-    per_batch.Record(delivered_in_batch);
     return true;
   }
   return false;

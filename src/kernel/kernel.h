@@ -235,21 +235,11 @@ class Kernel {
   // immediately. The moral equivalent of the boot loader.
   ProcessId CreateProcess(std::unique_ptr<ProcessCode> code, SpawnArgs args);
 
-  // Runs one scheduler tick: picks the next runnable process and pumps one
-  // batch (up to the batch limit) of deliverable messages from its next
-  // pending port. Returns false when the system is idle.
+  // Runs one scheduler tick: picks the next runnable process and delivers
+  // one message from its next pending port (the first that passes the
+  // delivery-time label checks). Returns false when the system is idle.
   bool Step();
   void RunUntilIdle();
-
-  // Batch size B for the delivery pump: after a successful delivery, the
-  // pump keeps draining the same port — up to B messages per pass — but
-  // only when the unbatched scheduler's next action would provably be that
-  // same port, charging the same per-delivery scheduler tick it would have.
-  // So the knob changes locality (and wall-clock speed), never the modeled
-  // figures: delivery order, charged cycles, and OnIdle cadence are
-  // bit-identical for every value of B. B = 1 disables batching outright.
-  void SetPumpBatchLimit(uint32_t limit) { pump_batch_limit_ = limit == 0 ? 1 : limit; }
-  uint32_t pump_batch_limit() const { return pump_batch_limit_; }
 
   // Runs fn with a context bound to the given process's *base* identity, in
   // its component scope. Used by external drivers (e.g. the simulated NIC
@@ -388,11 +378,9 @@ class Kernel {
 
   void EnqueuePendingPort(Process& owner, Handle port);
   void ScheduleProcess(Process& proc);
-  // Pumps one batch of deliveries from `port`: delivers the head message,
-  // then keeps draining the same port (up to pump_batch_limit_) while the
-  // unbatched scheduler's next action would provably be this port again —
-  // mirroring its state transitions and scheduler-tick charges exactly.
-  // Returns true if at least one handler ran.
+  // Delivers one message from `port`: pops queued messages, silently
+  // dropping those that fail the delivery-time label checks, until one
+  // passes, and runs its handler. Returns true if a handler ran.
   bool DeliverFromPort(Vnode& port);
   // Queue accounting for an enqueued/dequeued message: envelope + inline
   // words always; the payload buffer once per unique buffer (a K-way
@@ -431,7 +419,6 @@ class Kernel {
   // buffer id → (queued references, buffer bytes). queue_bytes charges a
   // buffer's bytes while the count is nonzero — shared fan-out counts once.
   std::unordered_map<const void*, std::pair<uint64_t, uint64_t>> queued_buf_refs_;
-  uint32_t pump_batch_limit_ = 16;
   uint64_t peak_total_bytes_ = 0;
   uint64_t scale_user_count_ = 0;  // see SetScaleUserCount
   // Trace id of the delivery being handled right now (see

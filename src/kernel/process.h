@@ -46,7 +46,7 @@ class ProcessCode {
   virtual void HandleMessage(ProcessContext& ctx, const Message& msg) = 0;
 
   // Runs when the kernel's run loop drains to idle — the end of a pump
-  // iteration. This is where per-batch work belongs, most importantly the
+  // iteration. This is where per-pump work belongs, most importantly the
   // group commit of durable stores (one fsync per dirty shard per pump
   // instead of one per mutation; see src/store). Like WithProcessContext,
   // this is a simulator-driver facility, not a syscall confined code could
@@ -118,17 +118,12 @@ struct Process {
   bool in_event_realm = false;
   bool exited = false;
   EpId next_ep_id = 1;
-  EpId last_ran_ep = kBaseContext;  // for context-switch cycle charging
   std::map<EpId, std::unique_ptr<EventProcess>> eps;
   std::vector<Handle> owned_ports;  // receive rights held by the base process
   std::map<uint64_t, SharedRegion> shared_regions;  // by region handle value
   int64_t modeled_heap_bytes = 0;   // user heap declared via ModelHeapBytes
 
-  // Scheduling: ports with queued messages, in arrival order. The batched
-  // delivery pump (Kernel::DeliverFromPort) reads AND mirrors the
-  // scheduler's pops on these fields mid-batch, so they must describe the
-  // schedule exactly at every handler boundary — never defer maintenance
-  // to the end of a Step.
+  // Scheduling: ports with queued messages, in arrival order.
   std::deque<Handle> pending_ports;
   std::unordered_set<uint64_t> pending_port_set;
   bool in_run_queue = false;

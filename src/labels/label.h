@@ -76,6 +76,22 @@ struct LabelWorkStats {
 LabelWorkStats& GetLabelWorkStats();
 void ResetLabelWorkStats();
 
+// Label work that is observability, not kernel work (refusal forensics,
+// provenance recording), must be invisible to the paper's linear work
+// counters: watching an event cannot change its Figure-9 attribution.
+// Restores LabelWorkStats on scope exit.
+class ScopedWorkStatsShield {
+ public:
+  ScopedWorkStatsShield() : saved_(GetLabelWorkStats()) {}
+  ~ScopedWorkStatsShield() { GetLabelWorkStats() = saved_; }
+
+  ScopedWorkStatsShield(const ScopedWorkStatsShield&) = delete;
+  ScopedWorkStatsShield& operator=(const ScopedWorkStatsShield&) = delete;
+
+ private:
+  LabelWorkStats saved_;
+};
+
 // Live label memory, maintained by rep/chunk constructors and destructors.
 // Shared chunks are counted once, so this is true live heap usage.
 struct LabelMemStats {

@@ -9,22 +9,6 @@ namespace obs {
 
 namespace {
 
-// The ledger's own label algebra (gate construction, cumulative lubs,
-// clearance checks) must be invisible to the paper's linear work counters:
-// recording provenance cannot change the Figure-9 label-work attribution of
-// the event being recorded. Restores LabelWorkStats on scope exit.
-class ScopedWorkStatsShield {
- public:
-  ScopedWorkStatsShield() : saved_(GetLabelWorkStats()) {}
-  ~ScopedWorkStatsShield() { GetLabelWorkStats() = saved_; }
-
-  ScopedWorkStatsShield(const ScopedWorkStatsShield&) = delete;
-  ScopedWorkStatsShield& operator=(const ScopedWorkStatsShield&) = delete;
-
- private:
-  LabelWorkStats saved_;
-};
-
 // Every explicitly-mentioned handle to level 3, default at least
 // `default_floor`. Knowing that an event touched compartment h is as secret
 // as h-data itself, regardless of the LEVEL the event moved (a ⋆ grant is

@@ -6,6 +6,16 @@
 
 namespace asbestos {
 
+namespace {
+
+// Largest WAL span per kBatch frame (one oversized record still ships
+// whole) and largest kWrite per pump PER FOLLOWER (the rest ships next
+// pump).
+constexpr uint64_t kMaxBatchBytes = 64 * 1024;
+constexpr uint64_t kMaxWriteBytes = 256 * 1024;
+
+}  // namespace
+
 ReplicationEndpoint::ReplicationEndpoint(const DurableStore* store,
                                          ReplicationOptions options)
     : store_(store), options_(options) {
@@ -19,9 +29,7 @@ void ReplicationEndpoint::Start(ProcessContext& ctx, Handle netd_ctl,
   // right shape for a source id naming this boot's WAL history.
   ReplicationHub::Tuning tuning;
   tuning.auth_token = options_.auth_token;
-  tuning.frame_cache_bytes = options_.frame_cache_bytes;
   tuning.lease_interval_cycles = options_.lease_interval_cycles;
-  tuning.heartbeat_interval_cycles = options_.heartbeat_interval_cycles;
   hub_ = std::make_unique<ReplicationHub>(store_, ctx.NewHandle().value(), tuning);
   notify_port_ = ctx.NewPort(Label::Top());  // closed; netd gets ⋆ below
 
@@ -53,7 +61,7 @@ void ReplicationEndpoint::RefuseBusy(ProcessContext& ctx, Handle uc) {
   // and would hot-reconnect into the same refusal.
   replwire::WireMessage busy;
   busy.type = replwire::kBusy;
-  busy.retry_after = options_.busy_retry_cycles;
+  busy.retry_after = replwire::kBusyRetryCycles;
   Message write;
   write.type = netd_proto::kWrite;
   write.words = {0};
@@ -163,7 +171,7 @@ void ReplicationEndpoint::PumpShip(ProcessContext& ctx) {
   for (auto& [uc_value, conn] : conns_) {
     std::string out;
     const size_t frames =
-        conn.session->PollFrames(options_.max_batch_bytes, options_.max_write_bytes, &out);
+        conn.session->PollFrames(kMaxBatchBytes, kMaxWriteBytes, &out);
     if (frames == 0 && hub_->lease_enabled() &&
         now - conn.session->last_send_cycles() >= hb_interval) {
       // Idle session, lease running down: refresh it. Gated on the clock,

@@ -44,11 +44,6 @@ struct ReplicationOptions {
   // Concurrent follower sessions served; a connection beyond this gets one
   // kBusy frame and a close.
   uint32_t max_followers = 4;
-  // Largest WAL span per kBatch frame (one oversized record still ships
-  // whole) and largest kWrite per pump PER FOLLOWER (the rest ships next
-  // pump).
-  uint64_t max_batch_bytes = 64 * 1024;
-  uint64_t max_write_bytes = 256 * 1024;
   // Session shared secret, configured identically on the follower. The
   // hub ships nothing to a peer whose acks carry a different token, and
   // a follower refuses a hello with one — so a stray client that merely
@@ -57,22 +52,16 @@ struct ReplicationOptions {
   // simulated wire models no cryptography), so it is a capability in the
   // handle-value sense, not a defense against a wire eavesdropper.
   uint64_t auth_token = 0;
-  // Shared frame cache budget: K followers at nearby offsets are fed from
-  // one WAL read instead of K. 0 disables the cache.
-  uint64_t frame_cache_bytes = 256 * 1024;
   // Lease/heartbeat protocol (automatic failover). Shipped traffic carries
   // lease_until = now + lease_interval_cycles on the virtual clock; an idle
-  // session is refreshed with kHeartbeat every heartbeat interval (default
-  // lease/4). lease_interval_cycles = 0 disables stamping. Sizing bounds:
+  // session is refreshed with kHeartbeat every lease/4.
+  // lease_interval_cycles = 0 disables stamping. Sizing bounds:
   // the lease must dwarf the cycles one loaded pump iteration burns (~1.5M
   // through netd with several followers) or a stamp is stale before it
   // crosses the wire, and the heartbeat interval must stay well above the
   // ~110k cycles one heartbeat itself charges, or the idle loop would
   // re-arm itself every pump.
   uint64_t lease_interval_cycles = 50'000'000;
-  uint64_t heartbeat_interval_cycles = 0;  // 0 = lease_interval / 4
-  // Back-off hint carried in kBusy refusals.
-  uint64_t busy_retry_cycles = 2'000'000;
 
   bool enabled() const { return listen_tcp_port != 0; }
 };

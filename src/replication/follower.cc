@@ -241,7 +241,7 @@ void FollowerProcess::HandleMessage(ProcessContext& ctx, const Message& msg) {
           ++busy_signals_;
           const uint64_t wait = replica_->busy_retry_after() != 0
                                     ? replica_->busy_retry_after()
-                                    : options_.busy_backoff_cycles;
+                                    : replwire::kBusyRetryCycles;
           backoff_until_cycles_ = GetCycleAccounting().now() + wait;
           EndSession(ctx, /*close_conn=*/true);
           return;

@@ -28,7 +28,7 @@
 //
 // Busy back-off: a kBusy refusal from an at-capacity primary ends the
 // session quietly and starts a back-off window (the refusal's retry hint,
-// falling back to FollowerOptions::busy_backoff_cycles); connections
+// falling back to replwire::kBusyRetryCycles); connections
 // arriving inside the window are closed unaccepted instead of burning a
 // hello/resume round trip on the same refusal.
 //
@@ -63,8 +63,6 @@ struct FollowerOptions {
   // Act on lease expiry when designated successor. Off only for worlds that
   // want lease observability without the promotion (operator drills).
   bool auto_promote = true;
-  // Back-off window after a kBusy refusal that carried no hint.
-  uint64_t busy_backoff_cycles = 2'000'000;
 };
 
 class FollowerProcess : public ProcessCode {

@@ -15,6 +15,10 @@ using replwire::WireMessage;
 
 namespace {
 
+// Byte budget of the hub's shared frame cache: K followers at nearby
+// offsets are fed from one WAL read instead of K.
+constexpr uint64_t kFrameCacheBytes = 256 * 1024;
+
 // Hub/session ship-plane counters live in the process-wide registry (not
 // only in per-instance stats) so a bench snapshot taken after the world is
 // torn down still carries the repl.* family.
@@ -376,7 +380,7 @@ ReplicationHub::ReplicationHub(const DurableStore* store, uint64_t source_id, Tu
     : store_(store),
       source_id_(source_id),
       tuning_(tuning),
-      cache_(tuning.frame_cache_bytes) {
+      cache_(kFrameCacheBytes) {
   // Per-process hub ordinal, so two hubs in one simulation (e.g. a promoted
   // follower re-publishing) get distinct gauge namespaces.
   static uint64_t hub_ordinal = 0;
@@ -474,13 +478,6 @@ uint64_t ReplicationHub::LeaseDeadline() const {
     return 0;
   }
   return GetCycleAccounting().now() + tuning_.lease_interval_cycles;
-}
-
-uint64_t ReplicationHub::heartbeat_interval_cycles() const {
-  if (tuning_.heartbeat_interval_cycles != 0) {
-    return tuning_.heartbeat_interval_cycles;
-  }
-  return tuning_.lease_interval_cycles / 4;
 }
 
 HubDebugStatus ReplicationHub::DebugStatus() const {

@@ -217,14 +217,10 @@ class ReplicationHub {
     // outright, so an unauthenticated peer never advances past await-resume
     // and receives no data. 0 = unauthenticated closed testbed.
     uint64_t auth_token = 0;
-    // Byte budget of the shared frame cache; 0 disables caching.
-    uint64_t frame_cache_bytes = 256 * 1024;
     // Lease stamped on shipped traffic: deadline = now + this many virtual
     // cycles. 0 disables lease stamping (and heartbeats) entirely. See
     // ReplicationOptions::lease_interval_cycles for the sizing bounds.
     uint64_t lease_interval_cycles = 50'000'000;
-    // Idle-primary lease refresh period; 0 = lease_interval / 4.
-    uint64_t heartbeat_interval_cycles = 0;
   };
 
   // `source_id` names this primary's WAL history; a fresh nonce per store
@@ -254,7 +250,8 @@ class ReplicationHub {
   // The lease deadline to stamp right now: now + lease_interval (0 when
   // lease stamping is disabled).
   uint64_t LeaseDeadline() const;
-  uint64_t heartbeat_interval_cycles() const;
+  // Idle-primary lease refresh period: a quarter of the lease.
+  uint64_t heartbeat_interval_cycles() const { return tuning_.lease_interval_cycles / 4; }
   bool lease_enabled() const { return tuning_.lease_interval_cycles != 0; }
 
   // Deterministic successor designation: the lowest nonzero follower id

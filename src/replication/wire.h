@@ -110,6 +110,11 @@ enum MessageType : uint64_t {
   kReadResp = 9,
 };
 
+// The back-off an at-capacity endpoint asks for in its kBusy frame, and the
+// window a follower waits after a kBusy frame that carries no hint. It sets
+// the refused follower's reconnect cadence: one attempt per window.
+inline constexpr uint64_t kBusyRetryCycles = 2'000'000;
+
 // A session's read-your-writes position: the primary's per-shard WAL cursor
 // at the session's last acknowledged write. A follower may answer a read
 // carrying this token only when its applied cursor for the shard covers it —

@@ -769,7 +769,7 @@ Status DurableStore::ApplyReplicatedRecord(uint32_t shard, std::string_view payl
     // secrecy exactly as shipped. The re-parse only runs when the ledger is
     // on, and the work stats are pinned so the forensics decode never skews
     // the Figure-9 label-work counters.
-    const LabelWorkStats baseline = GetLabelWorkStats();
+    ScopedWorkStatsShield shield;
     size_t pos = 1;
     std::string key;
     StoreRecord record;
@@ -779,7 +779,6 @@ Status DurableStore::ApplyReplicatedRecord(uint32_t shard, std::string_view payl
           obs::EdgeKind::kAdopt, "store.shard" + std::to_string(shard),
           "primary", 0, record.secrecy.rep_id(), record.secrecy, trace_id);
     }
-    GetLabelWorkStats() = baseline;
   }
   MaybeAutoCompact(s);
   return Status::kOk;

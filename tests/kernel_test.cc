@@ -529,37 +529,35 @@ TEST_F(KernelTest, SelfLabelOperations) {
   });
 }
 
-// The batched pump's contract (SetPumpBatchLimit): the batch size changes
-// delivery LOCALITY only. Replaying the same OKWS-shaped trace — a server
-// with a deep queue and an OnIdle hook, an echo peer bouncing replies, a
-// label-dropped message mid-queue — at B=1 (unbatched) and B=16 must give
-// the same delivery order, the same OnIdle cadence, and the same virtual
-// clock, cycle for cycle.
+// The pump delivers one message per scheduler pass. An OKWS-shaped trace —
+// a server with a deep queue and an OnIdle hook, an echo peer bouncing
+// replies, a label-dropped message mid-queue — must reproduce literal
+// delivery order, OnIdle cadence and charged cycles. The literals were
+// recorded from the batched pump this one replaced, at batch sizes 1 and
+// 16 alike, so they pin that the cost model cannot tell the two apart.
 namespace {
 
 struct TraceResult {
   std::vector<std::string> order;   // delivery sequence, tagged per process
-  uint64_t on_idle_calls = 0;
+  std::vector<size_t> idle_after;   // deliveries seen at each OnIdle call
   uint64_t cycles = 0;              // virtual cycles consumed by the trace
   uint64_t drops = 0;
 };
 
-class IdleCountingEcho : public ScriptedProcess {
+class IdleRecordingEcho : public ScriptedProcess {
  public:
-  IdleCountingEcho(uint64_t* on_idle_calls, Starter starter, Handler handler)
-      : ScriptedProcess(std::move(starter), std::move(handler)),
-        on_idle_calls_(on_idle_calls) {}
-  void OnIdle(ProcessContext&) override { ++*on_idle_calls_; }
+  IdleRecordingEcho(TraceResult* result, Starter starter, Handler handler)
+      : ScriptedProcess(std::move(starter), std::move(handler)), result_(result) {}
+  void OnIdle(ProcessContext&) override { result_->idle_after.push_back(result_->order.size()); }
   bool HasOnIdle() const override { return true; }
 
  private:
-  uint64_t* on_idle_calls_;
+  TraceResult* result_;
 };
 
-TraceResult RunPumpTrace(uint32_t batch_limit) {
+TraceResult RunPumpTrace() {
   TraceResult result;
   Kernel kernel(0x7ace);
-  kernel.SetPumpBatchLimit(batch_limit);
 
   // "Worker": deep-queue server with an OnIdle hook; echoes type-1 requests
   // to the peer's reply port.
@@ -567,8 +565,8 @@ TraceResult RunPumpTrace(uint32_t batch_limit) {
   SpawnArgs wargs;
   wargs.name = "worker";
   const ProcessId worker = kernel.CreateProcess(
-      std::make_unique<IdleCountingEcho>(
-          &result.on_idle_calls, nullptr,
+      std::make_unique<IdleRecordingEcho>(
+          &result, nullptr,
           [&](ProcessContext& ctx, const Message& msg) {
             result.order.push_back("worker:" + std::to_string(msg.words[0]));
             if (msg.type == 1) {
@@ -600,9 +598,9 @@ TraceResult RunPumpTrace(uint32_t batch_limit) {
     ASB_ASSERT(ctx.SetPortLabel(peer_port, Label::Top()) == Status::kOk);
   });
 
-  // The trace: two pump rounds of a deep queue (batching kicks in), with a
-  // doomed contaminated message lodged mid-queue in round one (drops must
-  // not disturb order, cycles, or idle cadence).
+  // The trace: two pump rounds of a deep queue, with a doomed contaminated
+  // message lodged mid-queue in round one (skipped in the same pass that
+  // delivers the message behind it).
   const uint64_t start_cycles = GetCycleAccounting().now();
   SpawnArgs sargs;
   sargs.name = "client";
@@ -643,21 +641,19 @@ TraceResult RunPumpTrace(uint32_t batch_limit) {
 
 }  // namespace
 
-TEST(BatchedPumpTest, BatchLimitNeverChangesOrderCyclesOrIdleCadence) {
-  const TraceResult unbatched = RunPumpTrace(1);
-  const TraceResult batched = RunPumpTrace(16);
+TEST(PumpTest, DeliveryTraceMatchesPinnedOrderCyclesAndIdleCadence) {
+  const TraceResult trace = RunPumpTrace();
 
-  EXPECT_EQ(unbatched.drops, 1u);
-  EXPECT_EQ(batched.drops, 1u);
-  EXPECT_EQ(batched.order, unbatched.order) << "delivery order is batch-invariant";
-  EXPECT_EQ(batched.on_idle_calls, unbatched.on_idle_calls)
-      << "OnIdle fires once per quiesced pump regardless of batch size";
-  EXPECT_EQ(batched.cycles, unbatched.cycles)
-      << "charged virtual cycles are bit-identical across batch limits";
-  // Sanity: the trace actually delivered both rounds (11 worker deliveries,
-  // 11 echoes; the contaminated message dropped).
-  EXPECT_EQ(unbatched.order.size(), 22u);
-  EXPECT_GE(unbatched.on_idle_calls, 2u);
+  const std::vector<std::string> expected_order = {
+      "worker:0",  "peer:0",  "worker:1",  "peer:1",  "worker:2",  "peer:2",
+      "worker:4",  "peer:4",  "worker:5",  "peer:5",  "worker:6",  "peer:6",
+      "worker:7",  "peer:7",  "worker:8",  "peer:8",  "worker:9",  "peer:9",
+      "worker:10", "peer:10", "worker:11", "peer:11"};
+  EXPECT_EQ(trace.order, expected_order);
+  EXPECT_EQ(trace.drops, 1u) << "the contaminated message 3 drops at delivery";
+  EXPECT_EQ(trace.idle_after, (std::vector<size_t>{14, 22}))
+      << "OnIdle fires once per quiesced pump";
+  EXPECT_EQ(trace.cycles, 504717u) << "charged virtual cycles";
 }
 
 TEST_F(KernelTest, SelfContaminatePreservesStars) {

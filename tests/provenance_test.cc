@@ -11,16 +11,22 @@
 // virtual clock into nested-span flamegraphs without ever charging it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/kernel/kernel.h"
+#include "src/kernel/label_checks.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/provenance.h"
 #include "src/obs/reset.h"
 #include "src/obs/trace.h"
+#include "src/replication/replica.h"
+#include "src/replication/source.h"
+#include "src/replication/wire.h"
 #include "src/sim/cycles.h"
+#include "src/store/store.h"
 #include "tests/test_util.h"
 
 namespace asbestos {
@@ -28,6 +34,7 @@ namespace {
 
 using testing::RecorderProcess;
 using testing::ScriptedProcess;
+using testing::TempDir;
 
 Handle H(uint64_t v) { return Handle::FromValue(v); }
 
@@ -286,6 +293,143 @@ TEST_F(ProvenanceKernelTest, GrantAndDeclassifyEdgesAreGatedHigh) {
   EXPECT_FALSE(low.CanObserveEdge(*declassify_edge));
   obs::ProvenanceReader high(Label::Top());
   EXPECT_TRUE(high.CanObserveEdge(*grant_edge));
+}
+
+// --- Forensics are invisible to the cost model -------------------------------
+//
+// Explaining a refused delivery, naming a refused send's missing ⋆, and
+// journaling a replicated Put's adopted label are observability. Each runs
+// under a ScopedWorkStatsShield, so the same scenario leaves the same
+// LabelWorkStats deltas and charges the same cycles with the ledger off and
+// on.
+
+struct ScenarioCost {
+  uint64_t ops = 0;
+  uint64_t entries_visited = 0;
+  uint64_t fast_path_hits = 0;
+  uint64_t cycles = 0;
+  uint64_t ledger_records = 0;  // refusals + edges the ledger kept
+};
+
+template <typename Fn>
+ScenarioCost RunWithLedger(bool ledger_on, const Fn& scenario) {
+  obs::ProvenanceLedger::SetEnabled(ledger_on);
+  obs::ProvenanceLedger::Get().Clear();
+  ResetLabelCheckCache();  // both runs start cold: hits replay no op counts
+  const LabelWorkStats before = GetLabelWorkStats();
+  const uint64_t cycles_before = GetCycleAccounting().now();
+  scenario();
+  const LabelWorkStats& after = GetLabelWorkStats();
+  ScenarioCost cost;
+  cost.ops = after.ops - before.ops;
+  cost.entries_visited = after.entries_visited - before.entries_visited;
+  cost.fast_path_hits = after.fast_path_hits - before.fast_path_hits;
+  cost.cycles = GetCycleAccounting().now() - cycles_before;
+  cost.ledger_records = obs::ProvenanceLedger::Get().refusals().size() +
+                        obs::ProvenanceLedger::Get().edges().size();
+  obs::ProvenanceLedger::Get().Clear();
+  obs::ProvenanceLedger::SetEnabled(false);
+  return cost;
+}
+
+void ExpectSameCost(const ScenarioCost& off, const ScenarioCost& on) {
+  EXPECT_EQ(off.ledger_records, 0u);
+  EXPECT_GT(on.ledger_records, 0u) << "the scenario must reach the ledger";
+  EXPECT_EQ(on.ops, off.ops);
+  EXPECT_EQ(on.entries_visited, off.entries_visited);
+  EXPECT_EQ(on.fast_path_hits, off.fast_path_hits);
+  EXPECT_EQ(on.cycles, off.cycles);
+}
+
+// A sender at {h 3} (plus whatever `args` asks for) sends one message to a
+// default-clearance receiver, and the pump runs to idle.
+void RefusedSendScenario(const SendArgs& args) {
+  Kernel kernel(0xF0E1);
+  std::vector<RecorderProcess::Received> received;
+  SpawnArgs rargs;
+  rargs.name = "rx";
+  const ProcessId rx =
+      kernel.CreateProcess(std::make_unique<RecorderProcess>(&received), rargs);
+  Handle port;
+  kernel.WithProcessContext(rx, [&](ProcessContext& ctx) {
+    port = ctx.NewPort(Label::Top());
+    ASSERT_EQ(ctx.SetPortLabel(port, Label::Top()), Status::kOk);
+  });
+  SpawnArgs targs;
+  targs.name = "tx";
+  const ProcessId tx = kernel.CreateProcess(std::make_unique<ScriptedProcess>(), targs);
+  kernel.WithProcessContext(tx, [&](ProcessContext& ctx) {
+    const Handle h = ctx.NewHandle();
+    ASSERT_EQ(ctx.SetSendLevel(h, Level::kL3), Status::kOk);
+    ASSERT_EQ(ctx.Send(port, Message{}, args), Status::kOk);
+  });
+  kernel.RunUntilIdle();
+  EXPECT_TRUE(received.empty());
+}
+
+TEST(ForensicsCostTest, RefusedDeliveryCostsTheSameWithTheLedgerOn) {
+  const auto scenario = [] { RefusedSendScenario(SendArgs()); };
+  ExpectSameCost(RunWithLedger(false, scenario), RunWithLedger(true, scenario));
+}
+
+TEST(ForensicsCostTest, RefusedSendCostsTheSameWithTheLedgerOn) {
+  SendArgs args;
+  args.decont_send = Label({{H(0x777), Level::kStar}}, Level::kL3);  // no ⋆ held
+  const auto scenario = [&] { RefusedSendScenario(args); };
+  ExpectSameCost(RunWithLedger(false, scenario), RunWithLedger(true, scenario));
+}
+
+TEST(ForensicsCostTest, ReplicatedPutCostsTheSameWithTheLedgerOn) {
+  TempDir dir;
+  int run = 0;
+  // A fresh primary/replica pair per run: the replica is imaged while the
+  // primary is empty, then applies one shipped Put of a labeled record.
+  const auto scenario = [&] {
+    const std::string base = dir.path() + "/run" + std::to_string(run++);
+    StoreOptions popts;
+    popts.dir = base + "-primary";
+    auto opened_primary = DurableStore::Open(popts);
+    ASSERT_TRUE(opened_primary.ok());
+    std::unique_ptr<DurableStore> primary = opened_primary.take();
+    ReplicationHub hub(primary.get(), /*source_id=*/0x5EED);
+    FollowerSession* session = hub.OpenSession();
+    StoreOptions ropts;
+    ropts.dir = base + "-replica";
+    auto opened_replica = ReplicaStore::Open(ropts, ReplicaOptions());
+    ASSERT_TRUE(opened_replica.ok());
+    std::unique_ptr<ReplicaStore> replica = opened_replica.take();
+
+    // Ships frames and acks between the pair until the session goes quiet.
+    std::string stream = session->SessionHello();
+    const auto sync = [&] {
+      for (int round = 0; round < 8 && !stream.empty(); ++round) {
+        std::string acks;
+        replwire::WireMessage frame;
+        while (replwire::ConsumeFrame(&stream, &frame) == replwire::FrameParse::kFrame) {
+          ASSERT_EQ(replica->HandleFrame(frame, &acks), Status::kOk);
+        }
+        while (replwire::ConsumeFrame(&acks, &frame) == replwire::FrameParse::kFrame) {
+          session->HandleAck(frame);
+        }
+        session->PollFrames(1 << 16, ~0ULL, &stream);
+      }
+    };
+    sync();
+    const Label secrecy({{H(0x51), Level::kL3}, {H(0x52), Level::kL2}}, Level::kL1);
+    ASSERT_EQ(primary->Put("k", "v", secrecy, Label::Top()), Status::kOk);
+    session->PollFrames(1 << 16, ~0ULL, &stream);
+    sync();
+    const StoreRecord* record = replica->store()->Get("k");
+    ASSERT_NE(record, nullptr);
+    EXPECT_TRUE(record->secrecy.Equals(secrecy));
+    if (obs::ProvenanceLedger::enabled()) {
+      const auto& edges = obs::ProvenanceLedger::Get().edges();
+      EXPECT_TRUE(std::any_of(edges.begin(), edges.end(), [](const obs::TaintEdge& e) {
+        return e.kind == obs::EdgeKind::kAdopt;
+      })) << "the Put must arrive as a shipped batch, not inside a snapshot";
+    }
+  };
+  ExpectSameCost(RunWithLedger(false, scenario), RunWithLedger(true, scenario));
 }
 
 // --- Cycle profiler ----------------------------------------------------------
