@@ -6,9 +6,10 @@
 // BM_ScaleUsers boots the full OKWS world at 10^3 / 10^4 / 10^5 users
 // (10^6 with --full) with session parking and scale accounting ON, drives
 // two passes over every user (login + resume-from-park), and reports the
-// kernel's total bytes over distinct users. After the runs, main() asserts
-// the flatness contract: bytes_per_user may grow at most 1.25× from 10^4 to
-// 10^5 users. `--smoke` keeps CI to the 10^3/10^4 decades.
+// kernel's total bytes over distinct users, plus the host wall time per
+// connection. After the runs, main() prints both per-decade ratios and
+// asserts the flatness contract: bytes_per_user may grow at most 1.25× from
+// 10^4 to 10^5 users. `--smoke` keeps CI to the 10^3/10^4 decades.
 //
 // The examples/ scenarios (mail-reader §5.5, MLS §5.2) ride along as a
 // measured scenario matrix — each iteration re-proves the paper's flow
@@ -19,6 +20,7 @@
 // BENCH_scale.metrics.json registry snapshot.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -33,9 +35,14 @@
 namespace asbestos {
 namespace {
 
-// bytes_per_user by decade, for the post-run flatness assertion.
-std::map<uint64_t, double>& BytesPerUserByDecade() {
-  static std::map<uint64_t, double> m;
+// One BM_ScaleUsers measurement, kept by decade for the post-run report.
+struct DecadePoint {
+  double bytes_per_user = 0;
+  double wall_us_per_conn = 0;
+};
+
+std::map<uint64_t, DecadePoint>& ScaleByDecade() {
+  static std::map<uint64_t, DecadePoint> m;
   return m;
 }
 
@@ -43,6 +50,7 @@ void BM_ScaleUsers(benchmark::State& state) {
   obs::ResetAll();  // fresh obs state per benchmark: no cross-run bleed
   const auto users = static_cast<uint64_t>(state.range(0));
   bench::OkwsRunResult result;
+  double wall_us = 0;
   for (auto _ : state) {
     bench::OkwsRunConfig config;
     config.sessions = users;
@@ -51,7 +59,10 @@ void BM_ScaleUsers(benchmark::State& state) {
     config.service = "echo";
     config.park_idle_sessions = true;
     config.scale_accounting = true;
+    const auto start = std::chrono::steady_clock::now();
     result = bench::RunOkwsWorkload(config);
+    wall_us = std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+                  .count();
   }
   if (result.failures != 0 || result.connections_completed != 2 * users) {
     std::fprintf(stderr, "bench_scale: %llu users: %llu/%llu connections, %llu failures\n",
@@ -60,10 +71,13 @@ void BM_ScaleUsers(benchmark::State& state) {
                  (unsigned long long)(2 * users), (unsigned long long)result.failures);
     std::abort();
   }
-  const double bytes_per_user = result.BytesPerUser();
-  BytesPerUserByDecade()[users] = bytes_per_user;
+  // Host time of the whole run (boot included) over its connections.
+  const DecadePoint point{result.BytesPerUser(),
+                          wall_us / static_cast<double>(result.connections_completed)};
+  ScaleByDecade()[users] = point;
   state.counters["users"] = static_cast<double>(users);
-  state.counters["bytes_per_user"] = bytes_per_user;
+  state.counters["bytes_per_user"] = point.bytes_per_user;
+  state.counters["wall_us_per_conn"] = point.wall_us_per_conn;
   state.counters["total_bytes"] = static_cast<double>(result.mem_after_bytes);
   state.counters["session_bytes"] = static_cast<double>(result.session_bytes);
   state.counters["binding_bytes"] = static_cast<double>(result.binding_bytes);
@@ -119,33 +133,41 @@ BENCHMARK(BM_MlsScenario);
 
 // The flatness contract the JSON is asserted against before it is written:
 // per-user bytes may grow at most kMaxDecadeRatio from one measured decade
-// to the next (fixed world overhead amortizes downward; only genuine
-// per-user growth could push the ratio up).
+// to the next, from 10^4 users up (fixed world overhead amortizes downward;
+// only genuine per-user growth could push the ratio up).
 constexpr double kMaxDecadeRatio = 1.25;
+constexpr uint64_t kFlatnessFromUsers = 10000;
 
+// Prints bytes_per_user and wall_us_per_conn ratios for every pair of
+// consecutive measured decades and enforces the bytes contract. Wall time is
+// reported only, with no bound yet: idd's login scan over its unindexed
+// okws_users table still grows with the user count, so a per-decade wall
+// bound (say 1.5×) would fail until that index lands (ROADMAP).
 bool CheckFlatness() {
-  const auto& by_decade = BytesPerUserByDecade();
+  const auto ratio = [](double lo, double hi) { return lo > 0 ? hi / lo : 0; };
   bool ok = true;
-  const std::pair<uint64_t, uint64_t> decade_pairs[] = {
-      {10000, 100000}, {100000, 1000000}};
-  for (const auto& [lo, hi] : decade_pairs) {
-    const auto l = by_decade.find(lo);
-    const auto h = by_decade.find(hi);
-    if (l == by_decade.end() || h == by_decade.end()) {
-      continue;  // decade not measured in this mode
+  const std::pair<const uint64_t, DecadePoint>* prev = nullptr;
+  for (const auto& decade : ScaleByDecade()) {
+    if (prev != nullptr) {
+      const auto& [lo_users, lo] = *prev;
+      const auto& [hi_users, hi] = decade;
+      const double bytes_ratio = ratio(lo.bytes_per_user, hi.bytes_per_user);
+      std::printf(
+          "bench_scale: %llu -> %llu users: bytes_per_user %.1f -> %.1f (%.3fx), "
+          "wall_us_per_conn %.1f -> %.1f (%.3fx)\n",
+          (unsigned long long)lo_users, (unsigned long long)hi_users, lo.bytes_per_user,
+          hi.bytes_per_user, bytes_ratio, lo.wall_us_per_conn, hi.wall_us_per_conn,
+          ratio(lo.wall_us_per_conn, hi.wall_us_per_conn));
+      if (lo_users >= kFlatnessFromUsers && bytes_ratio > kMaxDecadeRatio) {
+        std::fprintf(stderr,
+                     "bench_scale: bytes_per_user grew %.3fx from %llu to %llu users "
+                     "(contract: <= %.2fx)\n",
+                     bytes_ratio, (unsigned long long)lo_users, (unsigned long long)hi_users,
+                     kMaxDecadeRatio);
+        ok = false;
+      }
     }
-    const double ratio = l->second > 0 ? h->second / l->second : 0;
-    std::printf("bench_scale: bytes_per_user %llu -> %llu users: %.1f -> %.1f (%.3fx)\n",
-                (unsigned long long)lo, (unsigned long long)hi, l->second, h->second,
-                ratio);
-    if (ratio > kMaxDecadeRatio) {
-      std::fprintf(stderr,
-                   "bench_scale: bytes_per_user grew %.3fx from %llu to %llu users "
-                   "(contract: <= %.2fx)\n",
-                   ratio, (unsigned long long)lo, (unsigned long long)hi,
-                   kMaxDecadeRatio);
-      ok = false;
-    }
+    prev = &decade;
   }
   return ok;
 }

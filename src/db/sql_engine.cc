@@ -94,14 +94,14 @@ Status SqlTable::InsertRow(std::vector<SqlValue> row) {
   return Status::kOk;
 }
 
-bool SqlTable::RowMatches(const std::vector<SqlValue>& row,
-                          const std::vector<SqlPredicate>& where) const {
-  for (const SqlPredicate& p : where) {
-    const int ci = ColumnIndex(p.column);
+bool SqlTable::RowMatches(const std::vector<SqlValue>& row, const std::vector<SqlPredicate>& where,
+                          const std::vector<int>& where_columns) const {
+  for (size_t i = 0; i < where.size(); ++i) {
+    const int ci = where_columns[i];
     if (ci < 0) {
-      return false;
+      return false;  // unknown column: matches no row (each still counts as visited)
     }
-    if (!CompareMatches(row[static_cast<size_t>(ci)].Compare(p.literal), p.op)) {
+    if (!CompareMatches(row[static_cast<size_t>(ci)].Compare(where[i].literal), where[i].op)) {
       return false;
     }
   }
@@ -110,12 +110,19 @@ bool SqlTable::RowMatches(const std::vector<SqlValue>& row,
 
 std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& where,
                                             QueryResult* stats) const {
-  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  // Column names resolve once per scan, not once per row.
+  std::vector<int> where_columns;
+  where_columns.reserve(where.size());
   for (const SqlPredicate& p : where) {
+    where_columns.push_back(ColumnIndex(p.column));
+  }
+  // Pick an indexed equality predicate if one exists; otherwise full scan.
+  for (size_t i = 0; i < where.size(); ++i) {
+    const SqlPredicate& p = where[i];
     if (p.op != SqlCompare::kEq) {
       continue;
     }
-    const int ci = ColumnIndex(p.column);
+    const int ci = where_columns[i];
     auto idx = indexes_.find(ci);
     if (ci < 0 || idx == indexes_.end()) {
       continue;
@@ -126,7 +133,7 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
     for (auto it = lo; it != hi; ++it) {
       stats->rows_visited += 1;
       const auto& row = rows_.at(it->second);
-      if (RowMatches(row, where)) {
+      if (RowMatches(row, where, where_columns)) {
         out.push_back(it->second);
       }
     }
@@ -135,7 +142,7 @@ std::vector<SqlTable::RowId> SqlTable::Scan(const std::vector<SqlPredicate>& whe
   std::vector<RowId> out;
   for (const auto& [rid, row] : rows_) {
     stats->rows_visited += 1;
-    if (RowMatches(row, where)) {
+    if (RowMatches(row, where, where_columns)) {
       out.push_back(rid);
     }
   }

@@ -43,8 +43,9 @@ class SqlTable {
   Status InsertRow(std::vector<SqlValue> row);  // full-width, schema order
   // Row ids matching the predicates, using an index when one applies.
   std::vector<RowId> Scan(const std::vector<SqlPredicate>& where, QueryResult* stats) const;
-  bool RowMatches(const std::vector<SqlValue>& row,
-                  const std::vector<SqlPredicate>& where) const;
+  // `where_columns[i]` is ColumnIndex(where[i].column), resolved by Scan.
+  bool RowMatches(const std::vector<SqlValue>& row, const std::vector<SqlPredicate>& where,
+                  const std::vector<int>& where_columns) const;
 
   std::vector<SqlColumnDef> columns_;
   std::map<RowId, std::vector<SqlValue>> rows_;

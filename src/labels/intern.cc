@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/panic.h"
 #include "src/obs/metrics.h"
 
@@ -50,17 +49,6 @@ namespace internal {
 uint64_t InternNextRepId() {
   static uint64_t next = 0;
   return ++next;
-}
-
-uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, size_t count) {
-  // Word-at-a-time (src/base/hash.h): this runs on every completed label
-  // construction, so per-entry cost matters. In-memory only — unlike the
-  // store's shard routing, this may change freely.
-  uint64_t h = HashMix64(kFnv1aOffsetBasis, default_ordinal);
-  for (size_t i = 0; i < count; ++i) {
-    h = HashMix64(h, entries[i]);
-  }
-  return h;
 }
 
 LabelRep* InternLookup(uint64_t hash, InternMatchFn match, const void* ctx) {

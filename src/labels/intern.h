@@ -9,7 +9,11 @@
 // on a hit the existing canonical rep is shared, on a miss the fresh rep is
 // registered as canonical. Store recovery of N records carrying the same
 // label therefore allocates one rep, and the kernel can treat label identity
-// as a pointer comparison.
+// as a pointer comparison. Label::Canonicalize re-keys a label that was
+// mutated in place (the kernel's JoinInPlace/MeetInPlace): the rep carries
+// its additive entry hash (InternLabelHash below), so a miss — the common
+// case for the O(users)-entry labels of netd and the demux — registers the
+// rep in place in O(1), and only a hit pays a content compare.
 //
 // Identity contract (what the kernel's check cache relies on):
 //   * every rep carries a 64-bit id, unique since process start;
@@ -42,6 +46,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/base/hash.h"
+
 namespace asbestos {
 
 // Cumulative interning counters. `hits` are constructions that reused a live
@@ -66,9 +72,23 @@ struct LabelRep;  // defined in label.cc
 // Monotonic rep-id source (never reuses a value; 0 is never issued).
 uint64_t InternNextRepId();
 
-// FNV-1a over the default level and the packed entry array — the structural
-// hash the intern table buckets on.
-uint64_t InternHashEntries(uint8_t default_ordinal, const uint64_t* entries, size_t count);
+// The structural hash the intern table buckets on is additive over entries:
+//
+//   InternLabelHash(default, Σ InternEntryHash(packed_entry))
+//
+// where Σ is a wrapping 64-bit sum. Each rep keeps the entry sum up to date
+// (one subtraction and/or addition per Label::Set edit), so re-keying a label
+// after an in-place merge costs O(1) instead of a rehash of every entry. A
+// sum does not depend on how entries are split into chunks, so the same
+// content built by Set (split chunks) and by LabelBuilder (packed chunks)
+// hashes alike. Collisions are harmless: every bucket hit is confirmed by a
+// full content compare.
+inline uint64_t InternEntryHash(uint64_t packed_entry) {
+  return HashMix64(kFnv1aOffsetBasis, packed_entry);
+}
+inline uint64_t InternLabelHash(uint8_t default_ordinal, uint64_t entry_hash_sum) {
+  return HashMix64(HashMix64(kFnv1aOffsetBasis, default_ordinal), entry_hash_sum);
+}
 
 // Probes the table bucket for `hash`, calling `match` on each candidate
 // until it returns true. Returns the matching canonical rep (caller must

@@ -93,7 +93,9 @@ struct LabelRep {
   // re-assigned on every in-place mutation, so a given id value names one
   // extensional content forever.
   uint64_t id = 0;
-  uint64_t struct_hash = 0;  // valid only when in_table
+  // Wrapping sum of InternEntryHash over the explicit entries (intern.h),
+  // kept current by every edit; with default_level it yields the intern hash.
+  uint64_t entry_hash = 0;
   // Canonical reps are immutable: MutableRep clones them even at refcount 1.
   bool interned = false;
   bool in_table = false;  // registered in the intern table (unlike the
@@ -125,7 +127,8 @@ LabelRep* NewRep(Level default_level) {
 
 void FreeRep(LabelRep* rep) {
   if (rep->in_table) {
-    InternErase(rep->struct_hash, rep);
+    // Canonical reps are immutable, so this is the hash they were filed under.
+    InternErase(InternLabelHash(LevelOrdinal(rep->default_level), rep->entry_hash), rep);
   }
   g_mem.live_bytes -= static_cast<int64_t>(kRepBytes);
   g_mem.live_reps -= 1;
@@ -156,6 +159,7 @@ LabelRep* CloneRep(const LabelRep* rep) {
   LabelRep* copy = NewRep(rep->default_level);
   copy->min_level = rep->min_level;
   copy->max_level = rep->max_level;
+  copy->entry_hash = rep->entry_hash;
   for (int i = 0; i < 5; ++i) {
     copy->level_counts[i] = rep->level_counts[i];
   }
@@ -218,11 +222,20 @@ LabelRepRef SharedDefaultRep(Level default_level) {
   return LabelRepRef(slot);
 }
 
+uint64_t EntryHashSum(const uint64_t* entries, size_t count) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    sum += InternEntryHash(entries[i]);
+  }
+  return sum;
+}
+
 // Packs sorted entries into a fresh rep: chunked memcpy, one extrema pass.
-// Shared by the merge builders below and LabelBuilder's bulk path.
+// `entry_hash` is EntryHashSum(entries, count), which the caller already has.
 LabelRepRef PackSortedEntries(Level default_level, const uint64_t* entries, size_t count,
-                              const uint64_t level_counts[5]) {
+                              const uint64_t level_counts[5], uint64_t entry_hash) {
   LabelRep* rep = NewRep(default_level);
+  rep->entry_hash = entry_hash;
   size_t i = 0;
   while (i < count) {
     const size_t n = std::min<size_t>(kChunkMaxEntries, count - i);
@@ -280,19 +293,71 @@ LabelRepRef InternSortedEntries(Level default_level, const uint64_t* entries, si
   if (count == 0) {
     return SharedDefaultRep(default_level);  // per-level canonical singleton
   }
-  const uint64_t hash = InternHashEntries(LevelOrdinal(default_level), entries, count);
+  const uint64_t entry_hash = EntryHashSum(entries, count);
+  const uint64_t hash = InternLabelHash(LevelOrdinal(default_level), entry_hash);
   const FlatMatchCtx ctx{default_level, entries, count, level_counts};
   if (LabelRep* canonical = InternLookup(hash, MatchRepAgainstFlat, &ctx)) {
     InternNoteDedup(RepHeapBytes(canonical));  // same layout a fresh pack would use
     ++canonical->refcount;
     return LabelRepRef(canonical);
   }
-  LabelRepRef rep = PackSortedEntries(default_level, entries, count, level_counts);
-  rep.get()->struct_hash = hash;
+  LabelRepRef rep = PackSortedEntries(default_level, entries, count, level_counts, entry_hash);
   rep.get()->interned = true;
   rep.get()->in_table = true;
   InternInsert(hash, rep.get());
   return rep;
+}
+
+// Extensional equality of two reps, shared by Label::Equals and the intern
+// probe of Label::Canonicalize. The cached summaries reject most unequal
+// pairs in O(1); otherwise an entry walk that skips whole chunks: a COW clone
+// that diverged in one chunk still shares the others, and pointer-identical
+// chunks at a chunk boundary are equal without touching their entries.
+bool RepContentEqual(const LabelRep* a, const LabelRep* b) {
+  if (a->default_level != b->default_level || a->entry_hash != b->entry_hash ||
+      a->min_level != b->min_level || a->max_level != b->max_level) {
+    return false;
+  }
+  for (int i = 0; i < 5; ++i) {
+    if (a->level_counts[i] != b->level_counts[i]) {
+      return false;
+    }
+  }
+  size_t ai = 0;
+  size_t bi = 0;
+  uint16_t aj = 0;
+  uint16_t bj = 0;
+  const auto& achunks = a->chunks;
+  const auto& bchunks = b->chunks;
+  for (;;) {
+    while (ai < achunks.size() && aj >= achunks[ai]->size) {
+      ++ai;
+      aj = 0;
+    }
+    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
+      ++bi;
+      bj = 0;
+    }
+    const bool a_done = ai >= achunks.size();
+    const bool b_done = bi >= bchunks.size();
+    if (a_done || b_done) {
+      return a_done && b_done;
+    }
+    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
+      ++ai;
+      ++bi;
+      continue;
+    }
+    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
+      return false;
+    }
+    ++aj;
+    ++bj;
+  }
+}
+
+bool MatchRepAgainstRep(const LabelRep* candidate, const void* other) {
+  return RepContentEqual(candidate, static_cast<const LabelRep*>(other));
 }
 
 // Accumulates sorted packed entries and packs them into chunks.
@@ -383,9 +448,9 @@ Label::Label(std::initializer_list<std::pair<Handle, Level>> entries, Level defa
 
 Level Label::default_level() const { return rep_->default_level; }
 size_t Label::entry_count() const {
-  size_t n = 0;
-  for (const Chunk* c : rep_->chunks) {
-    n += c->size;
+  uint64_t n = 0;
+  for (uint64_t count : rep_->level_counts) {
+    n += count;
   }
   return n;
 }
@@ -541,6 +606,7 @@ void Label::Set(Handle h, Level l) {
     Chunk* c = slot;
     g_work.entries_visited += c->size;
     rep->level_counts[LevelOrdinal(EntryLevel(c->entries[pos]))] -= 1;
+    rep->entry_hash -= internal::InternEntryHash(c->entries[pos]);
     if (l == rep->default_level) {
       std::memmove(&c->entries[pos], &c->entries[pos + 1],
                    (c->size - pos - 1) * sizeof(uint64_t));
@@ -554,6 +620,7 @@ void Label::Set(Handle h, Level l) {
     } else {
       rep->level_counts[LevelOrdinal(l)] += 1;
       c->entries[pos] = PackEntry(h, l);
+      rep->entry_hash += internal::InternEntryHash(c->entries[pos]);
       internal::RecomputeChunkExtrema(c);
     }
     internal::RecomputeRepExtrema(rep);
@@ -562,6 +629,7 @@ void Label::Set(Handle h, Level l) {
 
   // Insertion path.
   rep->level_counts[LevelOrdinal(l)] += 1;
+  rep->entry_hash += internal::InternEntryHash(PackEntry(h, l));
   if (rep->chunks.empty()) {
     Chunk* c = internal::NewChunk(internal::kChunkMinCapacity);
     c->entries[0] = PackEntry(h, l);
@@ -851,49 +919,7 @@ bool Label::Equals(const Label& other) const {
   if (a->interned && b->interned) {
     return false;
   }
-  if (a->default_level != b->default_level || a->min_level != b->min_level ||
-      a->max_level != b->max_level) {
-    return false;
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (a->level_counts[i] != b->level_counts[i]) {
-      return false;
-    }
-  }
-  // Entry walk with whole-chunk skipping: a COW clone that diverged in one
-  // chunk still shares the others, and pointer-identical chunks at a chunk
-  // boundary are equal without touching their entries.
-  size_t ai = 0;
-  size_t bi = 0;
-  uint16_t aj = 0;
-  uint16_t bj = 0;
-  const auto& achunks = a->chunks;
-  const auto& bchunks = b->chunks;
-  for (;;) {
-    while (ai < achunks.size() && aj >= achunks[ai]->size) {
-      ++ai;
-      aj = 0;
-    }
-    while (bi < bchunks.size() && bj >= bchunks[bi]->size) {
-      ++bi;
-      bj = 0;
-    }
-    const bool a_done = ai >= achunks.size();
-    const bool b_done = bi >= bchunks.size();
-    if (a_done || b_done) {
-      return a_done && b_done;
-    }
-    if (aj == 0 && bj == 0 && achunks[ai] == bchunks[bi]) {
-      ++ai;
-      ++bi;
-      continue;
-    }
-    if (achunks[ai]->entries[aj] != bchunks[bi]->entries[bj]) {
-      return false;
-    }
-    ++aj;
-    ++bj;
-  }
+  return internal::RepContentEqual(a, b);
 }
 
 void Label::JoinInPlace(const Label& other) {
@@ -932,31 +958,23 @@ void Label::Canonicalize() {
   if (rep->interned) {
     return;  // already canonical (or a shared default singleton)
   }
-  std::vector<uint64_t> entries;
-  entries.reserve(entry_count());
-  internal::Cursor c(rep);
-  while (!c.done()) {
-    entries.push_back(c.entry());
-    c.Advance();
-  }
-  if (entries.empty()) {
+  if (rep->chunks.empty()) {
     rep_ = internal::SharedDefaultRep(rep->default_level);
     return;
   }
-  const uint64_t hash = internal::InternHashEntries(
-      LevelOrdinal(rep->default_level), entries.data(), entries.size());
-  const internal::FlatMatchCtx ctx{rep->default_level, entries.data(), entries.size(),
-                                   rep->level_counts};
+  // O(1) on a miss: the rep's running entry-hash sum gives the bucket, and
+  // this very rep becomes the canonical one — no copy, just the
+  // immutability promise (future mutations clone, per MutableRep). A hit is
+  // confirmed by a content walk that skips chunks shared with the twin.
+  const uint64_t hash =
+      internal::InternLabelHash(LevelOrdinal(rep->default_level), rep->entry_hash);
   if (internal::LabelRep* canonical =
-          internal::InternLookup(hash, internal::MatchRepAgainstFlat, &ctx)) {
+          internal::InternLookup(hash, internal::MatchRepAgainstRep, rep)) {
     internal::InternNoteDedup(internal::RepHeapBytes(canonical));
     ++canonical->refcount;
     rep_ = internal::LabelRepRef(canonical);  // drops the private rep
     return;
   }
-  // No live twin: this very rep becomes the canonical one — no copy, just
-  // the immutability promise (future mutations clone, per MutableRep).
-  rep->struct_hash = hash;
   rep->interned = true;
   rep->in_table = true;
   internal::InternInsert(hash, rep);
@@ -1167,6 +1185,11 @@ void Label::CheckRep() const {
   for (int i = 0; i < 5; ++i) {
     ASB_ASSERT(rep->level_counts[i] == counts[i]);
   }
+  uint64_t entry_hash = 0;
+  for (const Chunk* c : rep->chunks) {
+    entry_hash += internal::EntryHashSum(c->entries.get(), c->size);
+  }
+  ASB_ASSERT(rep->entry_hash == entry_hash && "cached entry-hash sum is stale");
 }
 
 }  // namespace asbestos

@@ -126,7 +126,7 @@ class Label {
   Level default_level() const;
   Level Get(Handle h) const;      // L(h), falling back to the default
   bool HasExplicit(Handle h) const;
-  size_t entry_count() const;
+  size_t entry_count() const;  // O(1): the sum of the level histogram
   // Cached extrema over the default level and all explicit entries.
   Level min_level() const;
   Level max_level() const;
@@ -177,7 +177,10 @@ class Label {
   // a live extensionally-equal canonical rep is shared, otherwise this
   // label's own rep is registered as canonical. Afterwards rep_id() is the
   // stable content id every other canonical construction of this content
-  // yields. O(entry count); invisible to LabelWorkStats like all interning.
+  // yields. The rep keeps its additive intern hash current across Set, so a
+  // miss costs O(1) however large the label; a hit costs one content compare
+  // that skips chunks shared with the twin. Invisible to LabelWorkStats like
+  // all interning.
   void Canonicalize();
 
   friend bool operator==(const Label& a, const Label& b) { return a.Equals(b); }

@@ -5,6 +5,7 @@
 // never corrupt a canonical rep or resurrect a stale id.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -53,6 +54,17 @@ class LabelInternPropertyTest : public ::testing::TestWithParam<uint64_t> {
       by_set.Set(Handle::FromValue(h), l);
     }
     return {BuildInterned(entries, def), by_set};
+  }
+
+  // Random sorted entry list of up to `max_entries` handles spread over
+  // [1, span], so a large label mixes with many others' chunks.
+  std::vector<std::pair<uint64_t, Level>> RandomSpread(uint64_t max_entries, uint64_t span) {
+    std::map<uint64_t, Level> picked;
+    const uint64_t n = rng_->NextBelow(max_entries + 1);
+    for (uint64_t i = 0; i < n; ++i) {
+      picked[rng_->NextInRange(1, span)] = RandomLevel();
+    }
+    return {picked.begin(), picked.end()};
   }
 
   std::unique_ptr<Rng> rng_;
@@ -172,6 +184,80 @@ TEST_P(LabelInternPropertyTest, EqualsFastPathsAgreeWithEntryWalk) {
     EXPECT_FALSE(copy.Equals(by_set));
     copy.Set(h, old);
     EXPECT_TRUE(copy.Equals(by_set));
+  }
+}
+
+// The incremental intern hash: Set keeps each rep's entry-hash sum current,
+// and JoinInPlace/MeetInPlace re-key through it without rehashing. After
+// every step of a random walk the cached sum must match a recomputation
+// (CheckRep), the content must match a reference model, and the canonical id
+// must be the one a from-scratch LabelBuilder rebuild of the content gets.
+TEST_P(LabelInternPropertyTest, IncrementalHashTracksRandomWalks) {
+  constexpr uint64_t kSpan = 6000;
+  Level def = RandomLevel();
+  std::map<uint64_t, Level> model;  // reference explicit entries
+  for (const auto& [h, l] : RandomSpread(5000, kSpan)) {
+    if (l != def) {
+      model[h] = l;
+    }
+  }
+  Label walk = BuildInterned({model.begin(), model.end()}, def);
+  for (int step = 0; step < 150; ++step) {
+    const uint64_t kind = rng_->NextBelow(3);
+    if (kind == 0) {
+      const uint64_t h = rng_->NextInRange(1, kSpan);
+      const Level l = RandomLevel();
+      walk.Set(Handle::FromValue(h), l);
+      if (l == def) {
+        model.erase(h);
+      } else {
+        model[h] = l;
+      }
+    } else {
+      // Small operands take the asymmetric Set-based merge, large ones the
+      // builder merge.
+      const Level other_def = RandomLevel();
+      const auto other_entries = RandomSpread(rng_->NextBool() ? 20 : 2000, kSpan);
+      const Label other = BuildInterned(other_entries, other_def);
+      const auto pick = kind == 1 ? LevelMax : LevelMin;
+      if (kind == 1) {
+        walk.JoinInPlace(other);
+      } else {
+        walk.MeetInPlace(other);
+      }
+      std::map<uint64_t, Level> other_model(other_entries.begin(), other_entries.end());
+      const Level next_def = pick(def, other_def);
+      std::map<uint64_t, Level> next;
+      auto merge_key = [&](uint64_t h) {
+        const auto a = model.find(h);
+        const auto b = other_model.find(h);
+        const Level l = pick(a == model.end() ? def : a->second,
+                             b == other_model.end() ? other_def : b->second);
+        if (l != next_def) {
+          next[h] = l;
+        }
+      };
+      for (const auto& [h, l] : model) {
+        merge_key(h);
+      }
+      for (const auto& [h, l] : other_model) {
+        merge_key(h);
+      }
+      model = std::move(next);
+      def = next_def;
+    }
+    walk.CheckRep();
+    ASSERT_EQ(walk.default_level(), def) << "step " << step;
+    std::vector<std::pair<uint64_t, Level>> flat;
+    for (const auto& [h, l] : walk.Entries()) {
+      flat.emplace_back(h.value(), l);
+    }
+    const std::vector<std::pair<uint64_t, Level>> expected(model.begin(), model.end());
+    ASSERT_EQ(flat, expected) << "step " << step;
+    ASSERT_EQ(walk.entry_count(), model.size());
+    Label canonical = walk;
+    canonical.Canonicalize();
+    ASSERT_EQ(canonical.rep_id(), BuildInterned(flat, def).rep_id()) << "step " << step;
   }
 }
 
@@ -300,6 +386,73 @@ TEST(LabelInternTest, CanonicalizeRegistersAPrivateRepWithoutCopying) {
   EXPECT_TRUE(l.rep_canonical());
   l.CheckRep();
   mutated.CheckRep();
+}
+
+// The intern hash is a sum over entries, so it cannot depend on how they are
+// chunked: Set splits full chunks into halves, LabelBuilder packs them full.
+TEST(LabelInternTest, SplitChunksAndPackedChunksCanonicalizeToOneRep) {
+  std::vector<std::pair<uint64_t, Level>> entries;
+  for (uint64_t i = 1; i <= 700; ++i) {
+    entries.emplace_back(i * 5, i % 3 == 0 ? Level::kStar : Level::kL3);
+  }
+  const auto by_set = [&entries] {
+    Label l(Level::kL1);
+    for (const auto& [h, lv] : entries) {
+      l.Set(Handle::FromValue(h), lv);  // ascending inserts split chunks 32/32
+    }
+    return l;
+  };
+  Label split = by_set();
+  ASSERT_GT(split.heap_bytes(), BuildInterned(entries, Level::kL1).heap_bytes())
+      << "the Set path must produce a different chunk layout for this test to mean anything";
+
+  // Set-built first: it registers, and the packed build dedups onto it.
+  split.Canonicalize();
+  EXPECT_EQ(BuildInterned(entries, Level::kL1).rep_id(), split.rep_id());
+
+  // Packed build first: the Set-built twin dedups onto it.
+  const Label packed = BuildInterned(entries, Level::kL1);
+  Label split_again = by_set();
+  const uint64_t hits_before = GetLabelInternStats().hits;
+  split_again.Canonicalize();
+  EXPECT_EQ(split_again.rep_id(), packed.rep_id());
+  EXPECT_EQ(GetLabelInternStats().hits, hits_before + 1);
+}
+
+// A Canonicalize hit on a COW twin: both labels diverged from one canonical
+// base by the same edit, so they share every chunk but the edited one, and
+// the hit must be confirmed (and a one-entry difference rejected) by the
+// content walk.
+TEST(LabelInternTest, CanonicalizeHitOnATwinSharingAllButOneChunk) {
+  std::vector<std::pair<uint64_t, Level>> entries;
+  for (uint64_t i = 1; i <= 640; ++i) {
+    entries.emplace_back(i * 2, Level::kStar);
+  }
+  const Label base = BuildInterned(entries, Level::kL1);
+  const Handle edited = Handle::FromValue(2 * 321);
+
+  Label first = base;
+  first.Set(edited, Level::kL3);
+  first.Canonicalize();
+  ASSERT_TRUE(first.rep_canonical());
+  ASSERT_NE(first.rep_id(), base.rep_id());
+
+  Label twin = base;
+  twin.Set(edited, Level::kL3);
+  ASSERT_FALSE(twin.rep_canonical());
+  const uint64_t hits_before = GetLabelInternStats().hits;
+  twin.Canonicalize();
+  EXPECT_EQ(twin.rep_id(), first.rep_id());
+  EXPECT_EQ(GetLabelInternStats().hits, hits_before + 1);
+
+  // Same edit position, different level: shares the same chunks, is not equal.
+  Label near = base;
+  near.Set(edited, Level::kL2);
+  near.Canonicalize();
+  EXPECT_NE(near.rep_id(), first.rep_id());
+  EXPECT_FALSE(near.Equals(first));
+  first.CheckRep();
+  near.CheckRep();
 }
 
 }  // namespace
