@@ -132,6 +132,49 @@ void BM_AsymmetricJoin_GrantIntoWideLabel(benchmark::State& state) {
 }
 BENCHMARK(BM_AsymmetricJoin_GrantIntoWideLabel)->Range(64, 1 << 14);
 
+// The login shapes. A worker's small send label (default 1) is joined with
+// Glb(ES, QS⋆), which carries the demux's n ⋆ capabilities plus a level-3
+// taint minted after them; the ⋆-sparse paths visit the taint and the small
+// side's entries instead of every ⋆. `entries_visited` is the charged work
+// per op: it stays linear in n (the paper's kernel walks both labels), while
+// host time goes flat.
+const Handle kLoginTaint = Handle::FromValue(1 << 20);
+
+Label SmallSendLabel() {
+  return Label({{Handle::FromValue(500000), Level::kStar}, {kLoginTaint, Level::kL2}},
+               kDefaultSendLevel);
+}
+
+void SetEntriesVisitedCounter(benchmark::State& state, uint64_t visited_before) {
+  state.counters["entries_visited"] = benchmark::Counter(
+      static_cast<double>(GetLabelWorkStats().entries_visited - visited_before),
+      benchmark::Counter::kAvgIterations);
+}
+
+void BM_SparseJoin_SmallSendLabelWithStarRichBig(benchmark::State& state) {
+  const Label big = WideStarSendLabel(static_cast<size_t>(state.range(0)), kLoginTaint);
+  const Label small = SmallSendLabel();
+  const uint64_t visited_before = GetLabelWorkStats().entries_visited;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Label::Lub(small, big));
+  }
+  SetEntriesVisitedCounter(state, visited_before);
+}
+BENCHMARK(BM_SparseJoin_SmallSendLabelWithStarRichBig)->Range(64, 1 << 14);
+
+void BM_SparseLeq_StarRichBigBelowSmall(benchmark::State& state) {
+  // JoinInPlace's containment test ahead of that join: big ⊑ small fails at
+  // the taint (3 above 2), charged as every union handle up to it.
+  const Label big = WideStarSendLabel(static_cast<size_t>(state.range(0)), kLoginTaint);
+  const Label small = SmallSendLabel();
+  const uint64_t visited_before = GetLabelWorkStats().entries_visited;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(big.Leq(small));
+  }
+  SetEntriesVisitedCounter(state, visited_before);
+}
+BENCHMARK(BM_SparseLeq_StarRichBigBelowSmall)->Range(64, 1 << 14);
+
 }  // namespace
 }  // namespace asbestos
 

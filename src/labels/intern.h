@@ -18,10 +18,16 @@
 // Identity contract (what the kernel's check cache relies on):
 //   * every rep carries a 64-bit id, unique since process start;
 //   * an id value refers to exactly one extensional label content, forever:
-//     canonical reps are immutable (copy-on-write clones them before any
-//     mutation), and non-canonical reps get a FRESH id on every in-place
-//     mutation — so a (rep id → anything derived from its content) cache
-//     never needs invalidation, only capacity eviction;
+//     a rep is never edited while it sits in the table, and every in-place
+//     mutation gives the rep a FRESH id — so a (rep id → anything derived
+//     from its content) cache never needs invalidation, only capacity
+//     eviction;
+//   * a canonical rep shared by several labels is cloned before one of them
+//     edits it (copy-on-write); a canonical rep with a single owner leaves
+//     the table first (InternErase, O(1) through its cached hash) and is
+//     then edited in place, so the table never holds a mutated rep. The
+//     per-level default singletons are never withdrawn: their cache holds a
+//     reference of its own, so they are always shared;
 //   * two simultaneously-live canonical reps are structurally distinct,
 //     which makes canonical-vs-canonical equality a pointer/id comparison.
 //
@@ -99,7 +105,8 @@ LabelRep* InternLookup(uint64_t hash, InternMatchFn match, const void* ctx);
 
 // Registers `rep` as the canonical rep for `hash` (a miss).
 void InternInsert(uint64_t hash, LabelRep* rep);
-// Unregisters a canonical rep (called from the rep's free path).
+// Unregisters a canonical rep (from the rep's free path, and before its sole
+// owner edits it in place).
 void InternErase(uint64_t hash, const LabelRep* rep);
 // Records a dedup hit and the heap bytes it avoided allocating.
 void InternNoteDedup(uint64_t bytes_saved);

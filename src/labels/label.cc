@@ -96,7 +96,8 @@ struct LabelRep {
   // Wrapping sum of InternEntryHash over the explicit entries (intern.h),
   // kept current by every edit; with default_level it yields the intern hash.
   uint64_t entry_hash = 0;
-  // Canonical reps are immutable: MutableRep clones them even at refcount 1.
+  // Canonical reps are immutable while registered: MutableRep withdraws a
+  // sole-owned one from the table before editing it, and clones the rest.
   bool interned = false;
   bool in_table = false;  // registered in the intern table (unlike the
                           // per-level shared default singletons)
@@ -125,10 +126,15 @@ LabelRep* NewRep(Level default_level) {
   return rep;
 }
 
+// The intern-table bucket hash of a rep's current content.
+uint64_t RepInternHash(const LabelRep* rep) {
+  return InternLabelHash(LevelOrdinal(rep->default_level), rep->entry_hash);
+}
+
 void FreeRep(LabelRep* rep) {
   if (rep->in_table) {
-    // Canonical reps are immutable, so this is the hash they were filed under.
-    InternErase(InternLabelHash(LevelOrdinal(rep->default_level), rep->entry_hash), rep);
+    // Registered reps are never edited, so this is the hash they were filed under.
+    InternErase(RepInternHash(rep), rep);
   }
   g_mem.live_bytes -= static_cast<int64_t>(kRepBytes);
   g_mem.live_reps -= 1;
@@ -205,12 +211,75 @@ class Cursor {
   uint16_t index_ = 0;
 };
 
+// Explicit entries of `rep` strictly above level `floor` (O(1): histogram).
+uint64_t RepCountAbove(const LabelRep* rep, Level floor) {
+  uint64_t n = 0;
+  for (int i = LevelOrdinal(floor) + 1; i < 5; ++i) {
+    n += rep->level_counts[i];
+  }
+  return n;
+}
+
+// Moves (chunk, index) to the next entry of `rep` whose level is above
+// `floor`, skipping whole chunks whose cached max_level is at or below it.
+// `remaining` is how many such entries are still ahead: at zero the walk ends
+// at once instead of crossing the trailing chunks.
+void SkipToEntryAbove(const LabelRep* rep, Level floor, uint64_t remaining, size_t* chunk,
+                      uint16_t* index) {
+  if (remaining == 0) {
+    *chunk = rep->chunks.size();
+    return;
+  }
+  while (*chunk < rep->chunks.size()) {
+    const Chunk* c = rep->chunks[*chunk];
+    if (*index == 0 && LevelLeq(c->max_level, floor)) {
+      ++*chunk;
+      continue;
+    }
+    while (*index < c->size && LevelLeq(EntryLevel(c->entries[*index]), floor)) {
+      ++*index;
+    }
+    if (*index < c->size) {
+      return;
+    }
+    ++*chunk;
+    *index = 0;
+  }
+}
+
+// Sequential reader over a rep's entries above `floor`, in handle order:
+// O(#chunks + entries in chunks that hold one).
+class CursorAbove {
+ public:
+  CursorAbove(const LabelRep* rep, Level floor)
+      : rep_(rep), floor_(floor), remaining_(RepCountAbove(rep, floor)) {
+    Skip();
+  }
+
+  bool done() const { return chunk_ >= rep_->chunks.size(); }
+  uint64_t entry() const { return rep_->chunks[chunk_]->entries[index_]; }
+  void Advance() {
+    --remaining_;
+    ++index_;
+    Skip();
+  }
+
+ private:
+  void Skip() { SkipToEntryAbove(rep_, floor_, remaining_, &chunk_, &index_); }
+
+  const LabelRep* rep_;
+  Level floor_;
+  uint64_t remaining_;
+  size_t chunk_ = 0;
+  uint16_t index_ = 0;
+};
+
 // Entry-less default labels ({⋆}, {1}, {2}, {3}) are ubiquitous — every
 // SendArgs default, every fresh vnode — so they share one immutable
-// representation per level. Copy-on-write unshares on first mutation; the
-// `interned` mark makes the immutability explicit (MutableRep always clones
-// canonical reps), so these singletons behave exactly like table-interned
-// reps without occupying the table.
+// representation per level. Copy-on-write unshares on first mutation: the
+// cache holds a reference of its own, and the `interned` mark keeps them out
+// of MutableRep's in-place path, so these singletons behave exactly like
+// shared table-interned reps without occupying the table.
 LabelRepRef SharedDefaultRep(Level default_level) {
   static LabelRep* cache[5] = {};
   LabelRep*& slot = cache[LevelOrdinal(default_level)];
@@ -461,13 +530,7 @@ uint64_t Label::CountEntriesAtLevel(Level l) const {
   return rep_->level_counts[LevelOrdinal(l)];
 }
 
-uint64_t Label::CountEntriesAbove(Level l) const {
-  uint64_t n = 0;
-  for (int i = LevelOrdinal(l) + 1; i < 5; ++i) {
-    n += rep_->level_counts[i];
-  }
-  return n;
-}
+uint64_t Label::CountEntriesAbove(Level l) const { return internal::RepCountAbove(rep_.get(), l); }
 
 Level Label::EntryMinLevel() const {
   for (int i = 0; i < 5; ++i) {
@@ -525,43 +588,58 @@ uint16_t LowerBoundInChunk(const Chunk* c, Handle h) {
   return static_cast<uint16_t>(it - begin);
 }
 
+// The packed entry for h, or nullptr when h takes the default. Uncharged.
+const uint64_t* FindEntry(const LabelRep* rep, Handle h) {
+  const size_t ci = FindChunkIndex(rep, h);
+  if (ci == SIZE_MAX) {
+    return nullptr;
+  }
+  const Chunk* c = rep->chunks[ci];
+  const uint16_t i = LowerBoundInChunk(c, h);
+  return i < c->size && EntryHandle(c->entries[i]) == h ? &c->entries[i] : nullptr;
+}
+
+// Number of explicit entries with handle <= h: chunk sizes summed up to h's
+// chunk, so O(#chunks + log chunk) rather than a walk of the entries.
+uint64_t RankAtOrBelow(const LabelRep* rep, Handle h) {
+  const size_t ci = FindChunkIndex(rep, h);
+  if (ci == SIZE_MAX) {
+    return 0;
+  }
+  uint64_t rank = 0;
+  for (size_t i = 0; i < ci; ++i) {
+    rank += rep->chunks[i]->size;
+  }
+  const Chunk* c = rep->chunks[ci];
+  const uint16_t i = LowerBoundInChunk(c, h);
+  return rank + i + (i < c->size && EntryHandle(c->entries[i]) == h ? 1 : 0);
+}
+
 }  // namespace
 
 Level Label::Get(Handle h) const {
   g_work.entries_visited += 1;
-  const LabelRep* rep = rep_.get();
-  const size_t ci = FindChunkIndex(rep, h);
-  if (ci == SIZE_MAX) {
-    return rep->default_level;
-  }
-  const Chunk* c = rep->chunks[ci];
-  const uint16_t i = LowerBoundInChunk(c, h);
-  if (i < c->size && EntryHandle(c->entries[i]) == h) {
-    return EntryLevel(c->entries[i]);
-  }
-  return rep->default_level;
+  const uint64_t* e = FindEntry(rep_.get(), h);
+  return e != nullptr ? EntryLevel(*e) : rep_->default_level;
 }
 
-bool Label::HasExplicit(Handle h) const {
-  const LabelRep* rep = rep_.get();
-  const size_t ci = FindChunkIndex(rep, h);
-  if (ci == SIZE_MAX) {
-    return false;
-  }
-  const Chunk* c = rep->chunks[ci];
-  const uint16_t i = LowerBoundInChunk(c, h);
-  return i < c->size && EntryHandle(c->entries[i]) == h;
-}
+bool Label::HasExplicit(Handle h) const { return FindEntry(rep_.get(), h) != nullptr; }
 
 uint64_t Label::rep_id() const { return rep_->id; }
 bool Label::rep_canonical() const { return rep_->interned; }
 
 LabelRep* Label::MutableRep() {
   LabelRep* rep = rep_.get();
-  // Canonical reps are immutable even when this label is their only owner:
-  // the intern table and the check cache both key on their identity, so
-  // mutating one in place would corrupt every future lookup.
-  if (rep->refcount > 1 || rep->interned) {
+  if (rep->refcount == 1 && rep->in_table) {
+    // This label is the canonical rep's only owner: withdraw the rep from the
+    // intern table (O(1) through its cached hash) and edit it in place. The
+    // table never holds an edited rep, and Set gives the rep a fresh id, so
+    // no id ever names two contents and the check cache cannot go stale.
+    internal::InternErase(internal::RepInternHash(rep), rep);
+    rep->interned = false;
+    rep->in_table = false;
+  } else if (rep->refcount > 1 || rep->interned) {
+    // Shared reps, and the per-level default singletons, are cloned.
     rep_ = LabelRepRef(internal::CloneRep(rep));
     rep = rep_.get();
   }
@@ -703,6 +781,59 @@ bool AsymmetricShapes(size_t small_count, size_t big_count) {
          big_count >= kAsymmetricBigFactor * (small_count + 8);
 }
 
+// The ⋆-sparse shapes: asymmetric, and the big side has as few entries above
+// the small side's default as a small side may have entries. Those are the
+// only big entries a merge with the small side can keep or be violated by.
+bool SparseShapes(const Label& small, const Label& big) {
+  return AsymmetricShapes(small.entry_count(), big.entry_count()) &&
+         AsymmetricShapes(big.CountEntriesAbove(small.default_level()), big.entry_count());
+}
+
+// Walks, in handle order, the handles of `small`'s entries and of `big`'s
+// entries above `small`'s default, calling fn(h, big(h), small(h), in_big,
+// in_small) with each side's level (its default where it has no entry) and
+// whether it has an explicit entry there. big(h) at a small handle is an
+// uncharged lookup. Stops early, returning false, when fn returns false.
+template <typename Fn>
+bool SparseWalk(const LabelRep* big, const LabelRep* small, Fn&& fn) {
+  internal::CursorAbove cb(big, small->default_level);
+  internal::Cursor cs(small);
+  while (!cb.done() || !cs.done()) {
+    if (cs.done() || (!cb.done() && EntryHandle(cb.entry()) < EntryHandle(cs.entry()))) {
+      const uint64_t e = cb.entry();
+      cb.Advance();
+      if (!fn(EntryHandle(e), EntryLevel(e), small->default_level, true, false)) {
+        return false;
+      }
+      continue;
+    }
+    const Handle h = EntryHandle(cs.entry());
+    const Level small_level = EntryLevel(cs.entry());
+    cs.Advance();
+    if (!cb.done() && EntryHandle(cb.entry()) == h) {
+      cb.Advance();
+    }
+    const uint64_t* e = FindEntry(big, h);
+    if (!fn(h, e != nullptr ? EntryLevel(*e) : big->default_level, small_level, e != nullptr,
+            true)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The asymmetric Set-based merge: `small`'s entries folded into `big` with
+// `pick`, charged as if the big side were scanned. `big` arrives by value, so
+// a caller that gives up its label (JoinInPlace/MeetInPlace) has it edited in
+// place when it is the rep's only owner, instead of cloned.
+Label FoldInto(Label big, const Label& small, Level (*pick)(Level, Level)) {
+  g_work.entries_visited += big.entry_count() + small.entry_count();
+  for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
+    big.Set(it.handle(), pick(big.Get(it.handle()), it.level()));
+  }
+  return big;
+}
+
 }  // namespace
 
 bool Label::Leq(const Label& other) const {
@@ -748,6 +879,28 @@ bool Label::Leq(const Label& other) const {
     }
     return true;
   }
+  // ⋆-sparse big ⊑ small: a violation can only sit at a big entry above the
+  // small default or at one of the small side's handles, so only those are
+  // visited. Charged as the linear walk below: every union handle when it
+  // holds, else the union handles up to and including the first violation.
+  if (SparseShapes(other, *this)) {
+    uint64_t small_rank = 0;
+    uint64_t common = 0;
+    Handle violation;
+    const bool leq =
+        SparseWalk(a, b, [&](Handle h, Level al, Level bl, bool in_a, bool in_b) {
+          small_rank += in_b;
+          common += in_a && in_b;
+          if (LevelLeq(al, bl)) {
+            return true;
+          }
+          violation = h;
+          return false;
+        });
+    g_work.entries_visited += leq ? entry_count() + other.entry_count() - common
+                                  : RankAtOrBelow(a, violation) + small_rank - common;
+    return leq;
+  }
   internal::Cursor ca(a);
   internal::Cursor cb(b);
   while (!ca.done() || !cb.done()) {
@@ -775,7 +928,7 @@ bool Label::Leq(const Label& other) const {
   return true;
 }
 
-Label Label::Lub(const Label& a, const Label& b) {
+Label Label::Lub(Label a, const Label& b) {
   g_work.ops += 1;
   const LabelRep* ra = a.rep_.get();
   const LabelRep* rb = b.rep_.get();
@@ -794,16 +947,29 @@ Label Label::Lub(const Label& a, const Label& b) {
   // unchanged, so the result is the big label with the small side's entries
   // folded in pointwise. Account the work as if the big side were scanned.
   {
-    const Label& small = a.entry_count() <= b.entry_count() ? a : b;
-    const Label& big = a.entry_count() <= b.entry_count() ? b : a;
+    const bool a_small = a.entry_count() <= b.entry_count();
+    const Label& small = a_small ? a : b;
+    const Label& big = a_small ? b : a;
     if (AsymmetricShapes(small.entry_count(), big.entry_count()) &&
         LevelLeq(small.default_level(), big.min_level())) {
-      g_work.entries_visited += big.entry_count() + small.entry_count();
-      Label result = big;
-      for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
-        result.Set(it.handle(), LevelMax(big.Get(it.handle()), it.level()));
-      }
-      return result;
+      return a_small ? FoldInto(b, a, LevelMax) : FoldInto(std::move(a), b, LevelMax);
+    }
+    // ⋆-sparse small ⊔ big: when the big default is at or below the small
+    // one, every big entry at or below the small default merges to the
+    // result's default and drops, so only the big entries above it and the
+    // small side's entries are visited. Charged as the linear merge below:
+    // one visit per union handle.
+    if (LevelLeq(big.default_level(), small.default_level()) && SparseShapes(small, big)) {
+      internal::RepBuilder out(small.default_level());
+      uint64_t common = 0;
+      SparseWalk(big.rep_.get(), small.rep_.get(),
+                 [&](Handle h, Level big_level, Level small_level, bool in_big, bool in_small) {
+                   common += in_big && in_small;
+                   out.Append(h, LevelMax(big_level, small_level));
+                   return true;
+                 });
+      g_work.entries_visited += big.entry_count() + small.entry_count() - common;
+      return Label(out.Finish());
     }
   }
   const Level def = LevelMax(ra->default_level, rb->default_level);
@@ -828,7 +994,7 @@ Label Label::Lub(const Label& a, const Label& b) {
   return Label(out.Finish());
 }
 
-Label Label::Glb(const Label& a, const Label& b) {
+Label Label::Glb(Label a, const Label& b) {
   g_work.ops += 1;
   const LabelRep* ra = a.rep_.get();
   const LabelRep* rb = b.rep_.get();
@@ -843,16 +1009,12 @@ Label Label::Glb(const Label& a, const Label& b) {
   // Asymmetric small ⊓ big (dual of the ⊔ fast path): valid when the small
   // default sits above everything in the big label.
   {
-    const Label& small = a.entry_count() <= b.entry_count() ? a : b;
-    const Label& big = a.entry_count() <= b.entry_count() ? b : a;
+    const bool a_small = a.entry_count() <= b.entry_count();
+    const Label& small = a_small ? a : b;
+    const Label& big = a_small ? b : a;
     if (AsymmetricShapes(small.entry_count(), big.entry_count()) &&
         LevelLeq(big.max_level(), small.default_level())) {
-      g_work.entries_visited += big.entry_count() + small.entry_count();
-      Label result = big;
-      for (Label::EntryIter it = small.IterateEntries(); !it.done(); it.Advance()) {
-        result.Set(it.handle(), LevelMin(big.Get(it.handle()), it.level()));
-      }
-      return result;
+      return a_small ? FoldInto(b, a, LevelMin) : FoldInto(std::move(a), b, LevelMin);
     }
   }
   const Level def = LevelMin(ra->default_level, rb->default_level);
@@ -932,9 +1094,12 @@ void Label::JoinInPlace(const Label& other) {
   if (other.Leq(*this)) {
     return;  // accurate containment check avoids allocating a new rep
   }
-  *this = Lub(*this, other);
+  // Handing over this label lets Lub's asymmetric path edit a sole-owned rep
+  // in place rather than clone it. `other` cannot alias *this here: if it
+  // did, the Leq above would have held.
+  *this = Lub(std::move(*this), other);
   // The merge ran: re-key the result to its canonical rep. Lub's builder
-  // path already interned; this covers the asymmetric Set-based path, whose
+  // paths already interned; this covers the asymmetric Set-based path, whose
   // private rep would otherwise take a fresh id on every contamination and
   // starve the kernel's check cache (ROADMAP: live-path hit rate).
   Canonicalize();
@@ -949,7 +1114,7 @@ void Label::MeetInPlace(const Label& other) {
   if (Leq(other)) {
     return;
   }
-  *this = Glb(*this, other);
+  *this = Glb(std::move(*this), other);
   Canonicalize();
 }
 
@@ -963,11 +1128,10 @@ void Label::Canonicalize() {
     return;
   }
   // O(1) on a miss: the rep's running entry-hash sum gives the bucket, and
-  // this very rep becomes the canonical one — no copy, just the
-  // immutability promise (future mutations clone, per MutableRep). A hit is
-  // confirmed by a content walk that skips chunks shared with the twin.
-  const uint64_t hash =
-      internal::InternLabelHash(LevelOrdinal(rep->default_level), rep->entry_hash);
+  // this very rep becomes the canonical one — no copy, just the promise not
+  // to edit it while registered (MutableRep withdraws or clones it first). A
+  // hit is confirmed by a content walk that skips chunks shared with the twin.
+  const uint64_t hash = internal::RepInternHash(rep);
   if (internal::LabelRep* canonical =
           internal::InternLookup(hash, internal::MatchRepAgainstRep, rep)) {
     internal::InternNoteDedup(internal::RepHeapBytes(canonical));
@@ -1006,25 +1170,13 @@ void Label::EntryIter::Advance() {
 
 Label::EntryIter Label::IterateEntries() const { return EntryIter(rep_.get()); }
 
-Label::NonStarIter::NonStarIter(const internal::LabelRep* rep) : rep_(rep) { SkipToValid(); }
+Label::NonStarIter::NonStarIter(const internal::LabelRep* rep)
+    : rep_(rep), remaining_(internal::RepCountAbove(rep, Level::kStar)) {
+  SkipToValid();
+}
 
 void Label::NonStarIter::SkipToValid() {
-  while (chunk_ < rep_->chunks.size()) {
-    const Chunk* c = rep_->chunks[chunk_];
-    // Whole-chunk skip: the cached extrema say every entry here is ⋆.
-    if (index_ == 0 && c->max_level == Level::kStar) {
-      ++chunk_;
-      continue;
-    }
-    while (index_ < c->size && EntryLevel(c->entries[index_]) == Level::kStar) {
-      ++index_;
-    }
-    if (index_ < c->size) {
-      return;
-    }
-    ++chunk_;
-    index_ = 0;
-  }
+  internal::SkipToEntryAbove(rep_, Level::kStar, remaining_, &chunk_, &index_);
 }
 
 bool Label::NonStarIter::done() const { return chunk_ >= rep_->chunks.size(); }
@@ -1038,6 +1190,7 @@ Level Label::NonStarIter::level() const {
 }
 
 void Label::NonStarIter::Advance() {
+  --remaining_;
   ++index_;
   SkipToValid();
 }

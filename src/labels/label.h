@@ -19,12 +19,23 @@
 // comparisons O(1). Worst-case ⊑/⊔/⊓ is linear in the entry count — this
 // linearity is what produces the performance shape of paper Figure 9.
 //
+// Host-side fast paths. Operations between a huge label (netd's, the demux's
+// or idd's, which grow with the user count) and a small one mostly avoid the
+// linear walk on the host: the cached extrema and a per-level entry
+// histogram decide many cases wholesale, the asymmetric paths fold the small
+// side into the big one by point lookups, and the ⋆-sparse paths (small ⊔ big
+// and big ⊑ small, when the big side has few entries above the small side's
+// default) visit only those few big entries plus the small side, skipping
+// chunks by their cached max level. None of this changes the charged cost:
+// every path adds to LabelWorkStats exactly what the linear merge it stands
+// in for adds, so the cycle model stays linear.
+//
 // On top of copy-on-write sharing, completed constructions are hash-consed
 // (src/labels/intern.h): extensionally equal labels built through
 // LabelBuilder::Build, Lub/Glb/StarsOnly merges, or Parse share one
-// immutable canonical rep with a stable 64-bit identity (rep_id), so
-// repeated recovery/derivation of the same label costs one allocation and
-// equality between canonical labels is a pointer comparison.
+// canonical rep with a stable 64-bit identity (rep_id), so repeated
+// recovery/derivation of the same label costs one allocation and equality
+// between canonical labels is a pointer comparison.
 //
 // All operations update global work counters (entries visited, fast-path
 // hits) that the simulator's cycle accounting consumes, and global memory
@@ -144,32 +155,39 @@ class Label {
 
   // --- Mutation (copy-on-write; O(chunk) + O(#chunks)) ---------------------
   // Sets L(h) = l. Setting a handle to the default level removes its entry.
+  // A shared rep is cloned first; a canonical rep this label alone owns is
+  // withdrawn from the intern table and edited in place.
   void Set(Handle h, Level l);
 
   // --- Algebra -------------------------------------------------------------
+  // Lub/Glb take `a` by value: a caller that moves its label in (as
+  // JoinInPlace/MeetInPlace do) lets the asymmetric path edit it in place.
   bool Leq(const Label& other) const;                   // this ⊑ other
-  static Label Lub(const Label& a, const Label& b);     // a ⊔ b
-  static Label Glb(const Label& a, const Label& b);     // a ⊓ b
+  static Label Lub(Label a, const Label& b);            // a ⊔ b
+  static Label Glb(Label a, const Label& b);            // a ⊓ b
   Label StarsOnly() const;                              // L⋆
   bool Equals(const Label& other) const;                // extensional equality
 
   // --- Canonical identity (src/labels/intern.h) ----------------------------
   // Stable 64-bit identity of this label's current content. Equal ids imply
   // extensionally equal labels, forever: canonical (hash-consed) reps are
-  // immutable and share one id per content, and an in-place mutation of a
-  // private rep assigns a fresh id. The kernel's check cache keys on these.
+  // never edited while registered and share one id per content, and every
+  // in-place mutation assigns a fresh id. The kernel's check cache keys on
+  // these.
   uint64_t rep_id() const;
-  // True when this label shares the canonical (interned, immutable) rep for
-  // its content. Two canonical labels are equal iff their ids are equal.
+  // True when this label holds the canonical (interned) rep for its content. Two canonical labels are equal iff their ids are equal.
   bool rep_canonical() const;
 
   // this ← this ⊔ other / this ⊓ other, sharing representation when one
   // side already dominates. These are the kernel's contamination hot path.
-  // When a merge actually runs (the fast no-op paths did not decide), the
-  // result is re-keyed through the intern table (Canonicalize below): the
-  // kernel's receive/send labels converge to canonical reps even though
-  // they mutate in place, so steady-state OKWS traffic re-presents the
-  // same rep ids and the flow-check verdict cache keeps hitting.
+  // This label is handed to Lub/Glb by move, so when it is the big side of
+  // an asymmetric merge and the only owner of its rep, the merge edits that
+  // rep in place (withdrawing it from the intern table first) instead of
+  // cloning it. When a merge actually runs (the fast no-op paths did not
+  // decide), the result is re-keyed through the intern table (Canonicalize
+  // below): the kernel's receive/send labels converge to canonical reps even
+  // though they mutate in place, so steady-state OKWS traffic re-presents
+  // the same rep ids and the flow-check verdict cache keeps hitting.
   void JoinInPlace(const Label& other);
   void MeetInPlace(const Label& other);
 
@@ -214,10 +232,13 @@ class Label {
   EntryIter IterateEntries() const;
 
   // Reader over explicit entries with level ≠ ⋆, skipping all-⋆ chunks via
-  // their cached extrema. A huge ⋆-rich label (netd's or idd's send label)
-  // with a handful of non-⋆ entries iterates in O(#non-⋆ + #chunks): ⋆
+  // their cached extrema and stopping once it has yielded the label's non-⋆
+  // count (from the level histogram), so the trailing all-⋆ chunks are never
+  // crossed. A huge ⋆-rich label (netd's or idd's send label) with a handful
+  // of non-⋆ entries iterates in O(#non-⋆ + #chunks up to the last one): ⋆
   // entries are below everything and can never violate a ≤-check, so most
-  // kernel predicates only need the non-⋆ ones.
+  // kernel predicates only need the non-⋆ ones. Uncharged; callers charge the
+  // linear cost themselves.
   class NonStarIter {
    public:
     bool done() const;
@@ -231,6 +252,7 @@ class Label {
     void SkipToValid();
 
     const internal::LabelRep* rep_;
+    uint64_t remaining_;  // non-⋆ entries not yet yielded
     size_t chunk_ = 0;
     uint16_t index_ = 0;
   };

@@ -5,13 +5,35 @@
 // never corrupt a canonical rep or resurrect a stale id.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/labels/intern.h"
 #include "src/labels/label.h"
 #include "src/store/label_codec.h"
+
+// Heap allocations made by this test binary, so a test can tell an in-place
+// edit (none) from a copy-on-write clone (a rep, its chunk table, a chunk).
+// The replacements pair malloc with free, which GCC cannot see through.
+namespace {
+uint64_t g_allocations = 0;
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace asbestos {
 namespace {
@@ -453,6 +475,119 @@ TEST(LabelInternTest, CanonicalizeHitOnATwinSharingAllButOneChunk) {
   EXPECT_FALSE(near.Equals(first));
   first.CheckRep();
   near.CheckRep();
+}
+
+// A canonical rep whose only owner edits it leaves the intern table first
+// and is edited in place: no clone, one fewer live canonical rep, and a fresh
+// id, so the old id keeps naming only the old content.
+std::vector<std::pair<uint64_t, Level>> StarRun(uint64_t n) {
+  std::vector<std::pair<uint64_t, Level>> out;
+  for (uint64_t i = 1; i <= n; ++i) {
+    out.emplace_back(i * 4, Level::kStar);
+  }
+  return out;
+}
+
+TEST(LabelInternTest, SetOnASoleOwnedCanonicalLabelEditsItInPlace) {
+  const auto entries = StarRun(300);
+  const Handle h = Handle::FromValue(4 * 150);
+  Label l = BuildInterned(entries, Level::kL1);
+  ASSERT_TRUE(l.rep_canonical());
+  const uint64_t old_id = l.rep_id();
+  const int64_t live_canonical = GetLabelInternStats().live_canonical;
+
+  const uint64_t allocations = g_allocations;
+  l.Set(h, Level::kL3);  // overwrites an existing entry
+  EXPECT_EQ(g_allocations, allocations) << "a sole-owned rep must not be cloned";
+
+  EXPECT_FALSE(l.rep_canonical());
+  EXPECT_NE(l.rep_id(), old_id);
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_canonical - 1);
+  EXPECT_EQ(l.Get(h), Level::kL3);
+  l.CheckRep();
+}
+
+TEST(LabelInternTest, RebuildingTheOldContentDoesNotFindTheEditedRep) {
+  const auto entries = StarRun(300);
+  const Handle h = Handle::FromValue(4 * 150);
+  Label edited = BuildInterned(entries, Level::kL1);
+  const uint64_t old_id = edited.rep_id();
+  edited.Set(h, Level::kL3);
+
+  const uint64_t misses = GetLabelInternStats().misses;
+  const Label rebuilt = BuildInterned(entries, Level::kL1);
+  EXPECT_EQ(GetLabelInternStats().misses, misses + 1) << "the table must not hold the edited rep";
+  EXPECT_TRUE(rebuilt.rep_canonical());
+  EXPECT_NE(rebuilt.rep_id(), edited.rep_id());
+  EXPECT_NE(rebuilt.rep_id(), old_id) << "ids are never reused";
+  EXPECT_EQ(rebuilt.Get(h), Level::kStar);
+  EXPECT_EQ(edited.Get(h), Level::kL3);
+  EXPECT_FALSE(rebuilt.Equals(edited));
+
+  // The edited content re-keys to a canonical rep of its own.
+  edited.Canonicalize();
+  auto edited_entries = entries;
+  edited_entries[149].second = Level::kL3;
+  EXPECT_EQ(BuildInterned(edited_entries, Level::kL1).rep_id(), edited.rep_id());
+}
+
+TEST(LabelInternTest, ACanonicalRepSharedByTwoLabelsStillClones) {
+  const Handle h = Handle::FromValue(4 * 150);
+  const Label keeper = BuildInterned(StarRun(300), Level::kL1);
+  const uint64_t keeper_id = keeper.rep_id();
+  Label editor = keeper;
+  const int64_t live_canonical = GetLabelInternStats().live_canonical;
+
+  const uint64_t allocations = g_allocations;
+  editor.Set(h, Level::kL3);
+  EXPECT_GT(g_allocations, allocations) << "a shared rep must be cloned";
+
+  EXPECT_TRUE(keeper.rep_canonical());
+  EXPECT_EQ(keeper.rep_id(), keeper_id);
+  EXPECT_EQ(keeper.Get(h), Level::kStar);
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_canonical);
+  EXPECT_NE(editor.rep_id(), keeper_id);
+  EXPECT_EQ(editor.Get(h), Level::kL3);
+  keeper.CheckRep();
+  editor.CheckRep();
+}
+
+TEST(LabelInternTest, DefaultSingletonsAreNeverWithdrawn) {
+  for (int d = 0; d < 5; ++d) {
+    const Level def = static_cast<Level>(d);
+    const uint64_t singleton_id = Label(def).rep_id();
+    const int64_t live_canonical = GetLabelInternStats().live_canonical;
+    Label edited = LabelBuilder(def).Build();  // the singleton, via the builder
+    ASSERT_EQ(edited.rep_id(), singleton_id);
+    edited.Set(Handle::FromValue(9), def == Level::kL3 ? Level::kStar : Level::kL3);
+    EXPECT_NE(edited.rep_id(), singleton_id);
+    EXPECT_EQ(GetLabelInternStats().live_canonical, live_canonical);
+
+    const Label fresh(def);
+    EXPECT_EQ(fresh.rep_id(), singleton_id);
+    EXPECT_TRUE(fresh.rep_canonical());
+    EXPECT_EQ(fresh.entry_count(), 0u);
+  }
+}
+
+// MeetInPlace hands its sole-owned canonical rep to the asymmetric merge,
+// which edits it in place; the result re-keys like any merge result.
+TEST(LabelInternTest, MeetInPlaceEditsASoleOwnedBigLabelInPlace) {
+  const Handle lowered = Handle::FromValue(4 * 7 + 1);  // not in the run: 2 ⊓ 0
+  Label big = BuildInterned(StarRun(300), Level::kL2);
+  const uint64_t old_id = big.rep_id();
+  const int64_t live_canonical = GetLabelInternStats().live_canonical;
+  const Label ds({{lowered, Level::kL0}, {Handle::FromValue(4 * 9), Level::kL1}}, Level::kL3);
+  const int64_t live_reps = GetLabelMemStats().live_reps;
+  big.MeetInPlace(ds);
+  EXPECT_EQ(GetLabelMemStats().live_reps, live_reps);
+  EXPECT_EQ(GetLabelInternStats().live_canonical, live_canonical) << "withdrawn, then re-keyed";
+  EXPECT_TRUE(big.rep_canonical());
+  EXPECT_NE(big.rep_id(), old_id);
+  EXPECT_EQ(big.Get(lowered), Level::kL0);
+  EXPECT_EQ(big.Get(Handle::FromValue(4 * 9)), Level::kStar);  // ⋆ ⊓ 1
+  EXPECT_EQ(big.Get(Handle::FromValue(2)), Level::kL2);
+  big.CheckRep();
 }
 
 }  // namespace

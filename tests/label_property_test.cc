@@ -4,6 +4,7 @@
 // (so labels overlap), across several seeds via TEST_P.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -235,6 +236,301 @@ TEST_P(LabelPropertyTest, LargeLabelStress) {
   l.CheckRep();
   copy.CheckRep();  // the shared-then-unshared copy must be unaffected
 }
+
+// ⋆-sparse merges. A huge ⋆-rich label with a few non-⋆ entries (the demux's
+// send label at login) meets small labels of every default over overlapping
+// handles. Every operation must match a std::map reference model, and where
+// the linear merge decides it, charge exactly what that merge charges: one
+// visit per handle in the union of the two entry sets, or, for a failing ⊑,
+// one per union handle up to and including the first violation. The host may
+// take a ⋆-sparse path; the charged clock must not be able to tell.
+struct ModelLabel {
+  Level def = Level::kL3;
+  std::map<uint64_t, Level> entries;
+
+  Level Get(uint64_t h) const {
+    const auto it = entries.find(h);
+    return it == entries.end() ? def : it->second;
+  }
+};
+
+ModelLabel ModelOf(const Label& l) {
+  ModelLabel m;
+  m.def = l.default_level();
+  for (const auto& [h, lv] : l.Entries()) {
+    m.entries[h.value()] = lv;
+  }
+  return m;
+}
+
+std::vector<uint64_t> UnionHandles(const ModelLabel& a, const ModelLabel& b) {
+  std::map<uint64_t, bool> all;
+  for (const auto& [h, l] : a.entries) {
+    all[h] = true;
+  }
+  for (const auto& [h, l] : b.entries) {
+    all[h] = true;
+  }
+  std::vector<uint64_t> out;
+  for (const auto& [h, unused] : all) {
+    out.push_back(h);
+  }
+  return out;
+}
+
+ModelLabel ModelMerge(const ModelLabel& a, const ModelLabel& b, Level (*pick)(Level, Level)) {
+  ModelLabel out;
+  out.def = pick(a.def, b.def);
+  for (const uint64_t h : UnionHandles(a, b)) {
+    const Level l = pick(a.Get(h), b.Get(h));
+    if (l != out.def) {
+      out.entries[h] = l;
+    }
+  }
+  return out;
+}
+
+// The linear ⊑ walk's charge: the union rank of the first violating handle,
+// or the whole union when there is none. (Only meaningful once the default
+// check passed: the walk never starts otherwise.)
+uint64_t LinearLeqCharge(const ModelLabel& a, const ModelLabel& b) {
+  const std::vector<uint64_t> handles = UnionHandles(a, b);
+  for (size_t i = 0; i < handles.size(); ++i) {
+    if (!LevelLeq(a.Get(handles[i]), b.Get(handles[i]))) {
+      return i + 1;
+    }
+  }
+  return handles.size();
+}
+
+bool ModelLeq(const ModelLabel& a, const ModelLabel& b) {
+  if (!LevelLeq(a.def, b.def)) {
+    return false;
+  }
+  for (const uint64_t h : UnionHandles(a, b)) {
+    if (!LevelLeq(a.Get(h), b.Get(h))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectMatchesModel(const Label& l, const ModelLabel& m) {
+  l.CheckRep();
+  EXPECT_EQ(l.default_level(), m.def);
+  EXPECT_EQ(ModelOf(l).entries, m.entries);
+}
+
+template <typename Fn>
+LabelWorkStats WorkOf(Fn&& fn) {
+  const LabelWorkStats before = GetLabelWorkStats();
+  fn();
+  const LabelWorkStats& after = GetLabelWorkStats();
+  LabelWorkStats delta;
+  delta.ops = after.ops - before.ops;
+  delta.entries_visited = after.entries_visited - before.entries_visited;
+  delta.fast_path_hits = after.fast_path_hits - before.fast_path_hits;
+  return delta;
+}
+
+void ExpectSameWork(const LabelWorkStats& got, const LabelWorkStats& want) {
+  EXPECT_EQ(got.ops, want.ops);
+  EXPECT_EQ(got.entries_visited, want.entries_visited);
+  EXPECT_EQ(got.fast_path_hits, want.fast_path_hits);
+}
+
+// ⊔ and ⊓ return one operand, uncharged, when the cached extrema show it
+// dominates the other everywhere.
+bool ExtremaDecide(const Label& a, const Label& b) {
+  return LevelLeq(a.max_level(), b.min_level()) || LevelLeq(b.max_level(), a.min_level());
+}
+
+// One linear-merge operation: one op, no fast-path hit, `visits` entries.
+LabelWorkStats LinearWork(uint64_t visits) {
+  LabelWorkStats w;
+  w.ops = 1;
+  w.entries_visited = visits;
+  return w;
+}
+
+class SparseMergeTest : public LabelPropertyTest {
+ protected:
+  static constexpr uint64_t kSpan = 4000;
+
+  // 300–700 ⋆ entries plus 0–6 non-⋆ ones, built as a sole-owned canonical
+  // label; the default is usually the send default.
+  ModelLabel RandomStarRich() {
+    ModelLabel m;
+    m.def = rng_->NextBool() ? kDefaultSendLevel : RandomLevel();
+    if (m.def == Level::kStar) {
+      m.def = Level::kL1;
+    }
+    const uint64_t n = rng_->NextInRange(300, 700);
+    while (m.entries.size() < n) {
+      m.entries[rng_->NextInRange(1, kSpan)] = Level::kStar;
+    }
+    const uint64_t non_star = rng_->NextBelow(7);
+    for (uint64_t i = 0; i < non_star; ++i) {
+      auto it = m.entries.lower_bound(rng_->NextInRange(1, kSpan));
+      if (it == m.entries.end()) {
+        it = m.entries.begin();
+      }
+      const Level l = static_cast<Level>(rng_->NextInRange(1, 4));
+      if (l == m.def) {
+        m.entries.erase(it);
+      } else {
+        it->second = l;
+      }
+    }
+    return m;
+  }
+
+  // Up to 24 entries with default `def`: some on the big side's handles (⋆
+  // and non-⋆ alike), some elsewhere. Half the time the small side names
+  // every big entry above its default at level 3, so big ⊑ small can hold.
+  ModelLabel RandomSmall(Level def, const ModelLabel& big) {
+    ModelLabel m;
+    m.def = def;
+    std::vector<uint64_t> big_handles;
+    std::vector<uint64_t> big_high;
+    for (const auto& [h, l] : big.entries) {
+      big_handles.push_back(h);
+      if (!LevelLeq(l, def)) {
+        big_high.push_back(h);
+      }
+    }
+    const uint64_t n = rng_->NextBelow(17);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t h = rng_->NextBool() ? big_handles[rng_->NextBelow(big_handles.size())]
+                                          : rng_->NextInRange(1, kSpan + 50);
+      m.entries[h] = RandomLevel();
+    }
+    if (rng_->NextBool()) {
+      for (const uint64_t h : big_high) {
+        m.entries[h] = Level::kL3;
+      }
+    }
+    for (auto it = m.entries.begin(); it != m.entries.end();) {
+      it = it->second == def ? m.entries.erase(it) : std::next(it);
+    }
+    return m;
+  }
+
+  static Label Build(const ModelLabel& m) {
+    LabelBuilder builder(m.def);
+    for (const auto& [h, l] : m.entries) {
+      builder.Append(Handle::FromValue(h), l);
+    }
+    return builder.Build();
+  }
+};
+
+TEST_P(SparseMergeTest, MergesMatchModelAndChargeTheLinearMerge) {
+  for (int t = 0; t < kTrialsPerSeed; ++t) {
+    const ModelLabel mb = RandomStarRich();
+    const Label big = Build(mb);
+    for (int d = 0; d < 5; ++d) {
+      const Level small_def = static_cast<Level>(d);
+      const ModelLabel ms = RandomSmall(small_def, mb);
+      const Label small = Build(ms);
+      ASSERT_LE(small.entry_count(), 24u);
+      ASSERT_GE(big.entry_count(), 8 * (small.entry_count() + 8));
+      const uint64_t union_count = UnionHandles(mb, ms).size();
+
+      // ⊔, both operand orders. The big side is ⋆-rich, so only a ⋆ default
+      // on the small side lets the asymmetric fold (charged as a scan)
+      // decide it; past the extrema check, every other default is the
+      // linear merge's.
+      const ModelLabel want_lub = ModelMerge(mb, ms, LevelMax);
+      for (const bool big_first : {true, false}) {
+        Label got;
+        const LabelWorkStats work = WorkOf(
+            [&] { got = big_first ? Label::Lub(big, small) : Label::Lub(small, big); });
+        ExpectMatchesModel(got, want_lub);
+        if (small_def != Level::kStar && !ExtremaDecide(big, small)) {
+          ExpectSameWork(work, LinearWork(union_count));
+        }
+      }
+
+      // ⊓: the asymmetric fold decides it when the big side sits wholly at
+      // or below the small default.
+      const ModelLabel want_glb = ModelMerge(mb, ms, LevelMin);
+      for (const bool big_first : {true, false}) {
+        Label got;
+        const LabelWorkStats work = WorkOf(
+            [&] { got = big_first ? Label::Glb(big, small) : Label::Glb(small, big); });
+        ExpectMatchesModel(got, want_glb);
+        if (!LevelLeq(big.max_level(), small_def) && !ExtremaDecide(big, small)) {
+          ExpectSameWork(work, LinearWork(union_count));
+        }
+      }
+
+      // big ⊑ small, both outcomes. The min/max fast path, the default check
+      // and the wholesale asymmetric path (no big entry above the small
+      // default) keep their own charges.
+      {
+        bool got = false;
+        const LabelWorkStats work = WorkOf([&] { got = big.Leq(small); });
+        EXPECT_EQ(got, ModelLeq(mb, ms));
+        if (!LevelLeq(big.max_level(), small.min_level()) && LevelLeq(mb.def, small_def) &&
+            !LevelLeq(big.EntryMaxLevel(), small_def)) {
+          ExpectSameWork(work, LinearWork(LinearLeqCharge(mb, ms)));
+        }
+      }
+      // small ⊑ big: the linear walk unless a ⋆ small default lets the
+      // asymmetric point checks decide.
+      {
+        bool got = false;
+        const LabelWorkStats work = WorkOf([&] { got = small.Leq(big); });
+        EXPECT_EQ(got, ModelLeq(ms, mb));
+        if (small_def != Level::kStar && LevelLeq(small_def, mb.def)) {
+          ExpectSameWork(work, LinearWork(LinearLeqCharge(ms, mb)));
+        }
+      }
+    }
+  }
+}
+
+// JoinInPlace/MeetInPlace on a sole-owned canonical label merge in place
+// where the functional forms clone; the charge must be the functional one
+// (the containment test, then the merge it did not rule out) to the visit.
+TEST_P(SparseMergeTest, InPlaceMergesChargeLikeTheFunctionalForms) {
+  for (int t = 0; t < kTrialsPerSeed; ++t) {
+    const ModelLabel mb = RandomStarRich();
+    const ModelLabel ms = RandomSmall(RandomLevel(), mb);
+    const bool big_receives = rng_->NextBool();
+    const ModelLabel& mx = big_receives ? mb : ms;
+    const ModelLabel& my = big_receives ? ms : mb;
+    const Label y = Build(my);
+
+    LabelWorkStats want_join;
+    LabelWorkStats want_meet;
+    {
+      const Label x = Build(mx);
+      want_join = WorkOf([&] {
+        if (!y.Leq(x)) {
+          Label::Lub(x, y);
+        }
+      });
+      want_meet = WorkOf([&] {
+        if (!x.Leq(y)) {
+          Label::Glb(x, y);
+        }
+      });
+    }
+
+    Label join = Build(mx);
+    ExpectSameWork(WorkOf([&] { join.JoinInPlace(y); }), want_join);
+    ExpectMatchesModel(join, ModelMerge(mx, my, LevelMax));
+
+    Label meet = Build(mx);
+    ExpectSameWork(WorkOf([&] { meet.MeetInPlace(y); }), want_meet);
+    ExpectMatchesModel(meet, ModelMerge(mx, my, LevelMin));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseMergeTest,
+                         ::testing::Values(3ULL, 19ULL, 2024ULL, 65537ULL));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LabelPropertyTest,
                          ::testing::Values(1ULL, 7ULL, 42ULL, 1234ULL, 987654321ULL));
